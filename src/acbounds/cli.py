@@ -168,9 +168,10 @@ def _cmd_bound(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kind = args.kind
+    cap = {} if args.cap is None else {"cap": args.cap}  # else each kind's default
     if kind == "atoms":
         system = _load_system(args.system)
-        table = atom_distribution(system, cap=args.cap)
+        table = atom_distribution(system, **cap)
         atoms = [
             {"point": list(p), "mass": _rat(q)} for p, q in sorted(table.probs.items())
         ]
@@ -181,7 +182,7 @@ def _cmd_oracle(args) -> int:
     elif kind == "count":
         matrix = _load_matrix(args.matrix)
         target = tuple(_ints(args.target)) if args.target else None
-        count = count_sign_solutions(matrix, target, cap=args.cap)
+        count = count_sign_solutions(matrix, target, **cap)
         _emit({"count": str(count)}, args.format)
     elif kind == "combdim":
         matrix = _load_matrix(args.matrix)
@@ -189,7 +190,7 @@ def _cmd_oracle(args) -> int:
         _emit({"count": str(count), "d_pm": d_pm}, args.format)
     elif kind == "levy":
         system = _load_system(args.system)
-        value = levy_lower_bound(system, args.radius, centers=args.centers, cap=args.cap)
+        value = levy_lower_bound(system, args.radius, centers=args.centers, **cap)
         _emit({"levy_lower_bound": _rat(value), "radius": args.radius}, args.format)
     return EXIT_OK
 
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker pool size for parallel reductions (1 = serial)")
+                        help="accepted for compatibility and ignored: every "
+                             "computation runs serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate a closed-form bound")
@@ -360,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--target", type=str, default="")
     p_oracle.add_argument("--radius", type=float, default=0.0)
     p_oracle.add_argument("--centers", choices=("atoms", "atoms+midpoints"), default="atoms")
-    p_oracle.add_argument("--cap", type=int, default=26)
+    p_oracle.add_argument("--cap", type=int, default=None,
+                          help="enumeration cap on n (default: 26 for atoms and levy, "
+                               "40 for count)")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_rank = sub.add_parser("rank-partition", help="greedy rank partition of a matrix")

@@ -1,10 +1,11 @@
 """Exact lattice distributions and the replication-trick inequalities.
 
-Distributions are finite rational measures on Z^d.  Convolution, reflection
-(symmetrization), and convolution powers are computed exactly, so the
-replication inequalities can be decided by exact rational comparison: a
-claim  lhs <= prod m_i^(1/a_i)  is settled by raising both sides to the
-lcm of the a_i, which keeps everything in integer arithmetic.
+Distributions are finite rational measures on Z^d, stored as integer weights
+over one common denominator.  Convolution, reflection (symmetrization) and
+convolution powers run on those integers; `Fraction` masses appear only at
+the boundary (the constructor, `atoms` and the mass queries).  A replication
+claim  lhs <= prod m_i^(1/a_i)  is settled by raising both sides to the lcm
+of the a_i, which keeps the comparison exact.
 """
 
 from __future__ import annotations
@@ -12,28 +13,57 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 
 class LatticeDistribution:
-    """Finitely supported probability distribution on Z^d with exact masses."""
+    """Finitely supported probability distribution on Z^d with exact masses.
 
-    __slots__ = ("dimension", "atoms")
+    The mass of point p is weights[p] / denom.  Weights are positive and
+    reduced with denom by their gcd, so equal distributions have equal fields.
+    """
+
+    __slots__ = ("dimension", "weights", "denom")
 
     def __init__(self, dimension, atoms):
-        self.dimension = int(dimension)
+        dimension = int(dimension)
         cleaned = {}
         for point, mass in dict(atoms).items():
             point = tuple(int(x) for x in point)
-            if len(point) != self.dimension:
+            if len(point) != dimension:
                 raise ValueError("atom dimension mismatch")
             mass = Fraction(mass)
             if mass < 0:
                 raise ValueError("masses must be nonnegative")
             if mass:
-                cleaned[point] = cleaned.get(point, Fraction(0)) + mass
-        if sum(cleaned.values(), Fraction(0)) != 1:
+                cleaned[point] = cleaned.get(point, 0) + mass
+        denom = math.lcm(*(m.denominator for m in cleaned.values()))
+        self._set(dimension, {p: int(m * denom) for p, m in cleaned.items()}, denom)
+
+    @classmethod
+    def _from_weights(cls, dimension, weights, denom) -> "LatticeDistribution":
+        """Distribution with masses weights[p] / denom (positive int weights)."""
+        self = cls.__new__(cls)
+        self._set(dimension, weights, denom)
+        return self
+
+    def _set(self, dimension, weights, denom):
+        if sum(weights.values()) != denom:
             raise ValueError("masses must sum to 1 exactly")
-        self.atoms = cleaned
+        g = math.gcd(*weights.values())
+        if g > 1:
+            weights = {p: w // g for p, w in weights.items()}
+            denom //= g
+        self.dimension = dimension
+        self.weights = weights
+        self.denom = denom
+
+    @property
+    def atoms(self) -> dict:
+        """Point -> exact `Fraction` mass (a new dict on every read)."""
+        denom = self.denom
+        return {p: Fraction(w, denom) for p, w in self.weights.items()}
 
     @staticmethod
     def delta(point) -> "LatticeDistribution":
@@ -61,88 +91,75 @@ class LatticeDistribution:
         }
 
     def mass_at(self, point) -> Fraction:
-        return self.atoms.get(tuple(point), Fraction(0))
+        return Fraction(self.weights.get(tuple(point), 0), self.denom)
 
     def max_atom(self) -> Fraction:
-        return max(self.atoms.values())
+        return Fraction(max(self.weights.values()), self.denom)
 
     def support(self):
-        return sorted(self.atoms)
+        return sorted(self.weights)
 
     def reflect(self) -> "LatticeDistribution":
-        return LatticeDistribution(
-            self.dimension, {tuple(-x for x in p): m for p, m in self.atoms.items()}
+        return LatticeDistribution._from_weights(
+            self.dimension,
+            {tuple(-x for x in p): w for p, w in self.weights.items()},
+            self.denom,
         )
 
     def is_origin_symmetric(self) -> bool:
-        return all(self.atoms.get(tuple(-x for x in p)) == m for p, m in self.atoms.items())
+        weights = self.weights
+        return all(weights.get(tuple(-x for x in p)) == w for p, w in weights.items())
 
     def ball_mass(self, center, radius) -> Fraction:
         """Exact mass of the closed Euclidean ball of the given radius."""
-        radius_sq = Fraction(radius) ** 2
         center = tuple(Fraction(c) for c in center)
-        if all(c.denominator == 1 for c in center):
-            # Integer center: squared distances stay integral.
-            ic = tuple(int(c) for c in center)
-            total = Fraction(0)
-            for p, m in self.atoms.items():
-                if sum((x - c) ** 2 for x, c in zip(p, ic)) <= radius_sq:
-                    total += m
-            return total
-        total = Fraction(0)
-        for p, m in self.atoms.items():
-            if sum((Fraction(x) - c) ** 2 for x, c in zip(p, center)) <= radius_sq:
-                total += m
-        return total
+        # Scale by the centers' common denominator so distances stay integral.
+        scale = math.lcm(*(c.denominator for c in center))
+        scaled = tuple(int(c * scale) for c in center)
+        bound = math.floor((Fraction(radius) * scale) ** 2)
+        total = sum(
+            w
+            for p, w in self.weights.items()
+            if sum((scale * x - c) ** 2 for x, c in zip(p, scaled)) <= bound
+        )
+        return Fraction(total, self.denom)
 
     def best_ball_mass(self, radius) -> Fraction:
         """Max ball mass over atom centers: a certified Levy lower bound."""
         if Fraction(radius) == 0:
             return self.max_atom()
-        return max(self.ball_mass(p, radius) for p in self.atoms)
+        return max(self.ball_mass(p, radius) for p in self.weights)
 
     def __eq__(self, other):
         return (
             isinstance(other, LatticeDistribution)
             and self.dimension == other.dimension
-            and self.atoms == other.atoms
+            and self.denom == other.denom
+            and self.weights == other.weights
         )
 
     def __repr__(self):
-        return f"LatticeDistribution(d={self.dimension}, support={len(self.atoms)})"
-
-
-def _int_weights(p: LatticeDistribution):
-    """Masses as integer weights over a common denominator (exact)."""
-    denom = 1
-    for m in p.atoms.values():
-        denom = denom * m.denominator // math.gcd(denom, m.denominator)
-    return {pt: int(m * denom) for pt, m in p.atoms.items()}, denom
+        return f"LatticeDistribution(d={self.dimension}, support={len(self.weights)})"
 
 
 def _conv_int(wa: dict, wb: dict) -> dict:
+    """The integer convolution kernel: point -> weight maps, all pairs summed."""
     out = {}
     get = out.get
     for a, ma in wa.items():
         for b, mb in wb.items():
-            key = tuple(x + y for x, y in zip(a, b))
+            key = tuple(map(add, a, b))
             out[key] = get(key, 0) + ma * mb
     return out
 
 
 def convolve(p: LatticeDistribution, q: LatticeDistribution) -> LatticeDistribution:
-    """Exact distribution of the sum of independent draws from p and q.
-
-    Runs on integer weights over a common denominator; Fractions are only
-    rebuilt once at the end, which keeps large convolutions cheap.
-    """
+    """Exact distribution of the sum of independent draws from p and q."""
     if p.dimension != q.dimension:
         raise ValueError("dimension mismatch")
-    wa, da = _int_weights(p)
-    wb, db = _int_weights(q)
-    out = _conv_int(wa, wb)
-    denom = da * db
-    return LatticeDistribution(p.dimension, {k: Fraction(v, denom) for k, v in out.items()})
+    return LatticeDistribution._from_weights(
+        p.dimension, _conv_int(p.weights, q.weights), p.denom * q.denom
+    )
 
 
 def symmetrize(p: LatticeDistribution) -> LatticeDistribution:
@@ -154,14 +171,14 @@ def self_convolve(p: LatticeDistribution, m: int) -> LatticeDistribution:
     """m-fold convolution power via binary exponentiation on integer weights."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    base, base_denom = _int_weights(p)
+    base, base_denom = p.weights, p.denom
     power = m
     result = None
     result_denom = 1
     while power:
         if power & 1:
             if result is None:
-                result, result_denom = dict(base), base_denom
+                result, result_denom = base, base_denom
             else:
                 result = _conv_int(result, base)
                 result_denom *= base_denom
@@ -169,9 +186,7 @@ def self_convolve(p: LatticeDistribution, m: int) -> LatticeDistribution:
         if power:
             base = _conv_int(base, base)
             base_denom *= base_denom
-    return LatticeDistribution(
-        p.dimension, {k: Fraction(v, result_denom) for k, v in result.items()}
-    )
+    return LatticeDistribution._from_weights(p.dimension, result, result_denom)
 
 
 def _validate_tuple(dists, tup, divisor):
@@ -196,16 +211,59 @@ def _geometric_mean_upper(masses, tup) -> float:
     return min(value, 1.0) if all(m <= 1 for m in masses) else value
 
 
-def _exact_product_dominates(lhs: Fraction, masses, tup) -> bool:
-    """Decide lhs <= prod masses[i]^(1/tup[i]) exactly via lcm powering."""
-    lcm = 1
-    for a in tup:
-        lcm = lcm * a // math.gcd(lcm, a)
+def _compare_with_product(lhs: Fraction, masses, tup) -> int:
+    """Sign of lhs - prod masses[i]^(1/tup[i]), exactly, via lcm powering."""
+    lcm = math.lcm(*tup)
     left = lhs**lcm
     right = Fraction(1)
     for m, a in zip(masses, tup):
-        right *= Fraction(m) ** (lcm // a)
-    return left <= right
+        right *= m ** (lcm // a)
+    return (left > right) - (left < right)
+
+
+def _replication(dists, tup, variant, point=None, delta=None, center=None):
+    """Shared core of the two replication checks.
+
+    Validates the inputs, convolves all of `dists`, and replicates each
+    factor: variant "symmetrized" takes the (a_i/2)-fold power of the
+    symmetrized summand, "origin-symmetric" the a_i-fold power of the summand
+    itself.  With `point` it compares point masses (the mass at `point` of
+    the total against the masses at 0 of the factors); with `delta` and
+    `center` it compares ball masses.  Returns (lhs, rhs, order): order is the
+    exact sign of lhs against the right side, rhs its upward-rounded float.
+    """
+    if variant == "symmetrized":
+        divisor = 4
+    elif variant == "origin-symmetric":
+        divisor = 2
+    else:
+        raise ValueError("variant must be 'symmetrized' or 'origin-symmetric'")
+    dists = list(dists)
+    if not dists:
+        raise ValueError("need at least one distribution")
+    d = dists[0].dimension
+    if any(p.dimension != d for p in dists):
+        raise ValueError("dimension mismatch")
+    _validate_tuple(dists, tup, divisor)
+    if variant == "origin-symmetric" and not all(p.is_origin_symmetric() for p in dists):
+        raise ValueError("origin-symmetric variant needs origin-symmetric inputs")
+
+    total = reduce(convolve, dists)
+    if variant == "symmetrized":
+        reps = [self_convolve(symmetrize(p), a // 2) for p, a in zip(dists, tup)]
+    else:
+        reps = [self_convolve(p, a) for p, a in zip(dists, tup)]
+    if delta is None:
+        lhs = total.mass_at(point)
+        masses = [rep.mass_at((0,) * d) for rep in reps]
+        prefactor = 1
+    else:
+        lhs = total.ball_mass(center, delta)
+        big_radius = 4 * Fraction(delta)
+        masses = [rep.best_ball_mass(big_radius) for rep in reps]
+        prefactor = 1 << d
+    rhs = prefactor * _geometric_mean_upper(masses, tup)
+    return lhs, rhs, _compare_with_product(lhs / prefactor, masses, tup)
 
 
 def replication_atom_check(dists, tup, v, variant: str = "symmetrized"):
@@ -218,36 +276,8 @@ def replication_atom_check(dists, tup, v, variant: str = "symmetrized"):
     itself.  Returns (lhs, rhs, holds): lhs exact, rhs an upward-rounded
     float of the product, holds decided by exact rational comparison.
     """
-    if variant == "symmetrized":
-        divisor = 4
-    elif variant == "origin-symmetric":
-        divisor = 2
-    else:
-        raise ValueError("variant must be 'symmetrized' or 'origin-symmetric'")
-    dists = list(dists)
-    if not dists:
-        raise ValueError("need at least one distribution")
-    d = dists[0].dimension
-    if any(p.dimension != d for p in dists):
-        raise ValueError("dimension mismatch")
-    _validate_tuple(dists, tup, divisor)
-    if variant == "origin-symmetric" and not all(p.is_origin_symmetric() for p in dists):
-        raise ValueError("origin-symmetric variant needs origin-symmetric inputs")
-
-    total = dists[0]
-    for p in dists[1:]:
-        total = convolve(total, p)
-    lhs = total.mass_at(v)
-
-    masses = []
-    for p, a in zip(dists, tup):
-        if variant == "symmetrized":
-            masses.append(self_convolve(symmetrize(p), a // 2).mass_at((0,) * d))
-        else:
-            masses.append(self_convolve(p, a).mass_at((0,) * d))
-    rhs = _geometric_mean_upper(masses, tup)
-    holds = _exact_product_dominates(lhs, masses, tup)
-    return lhs, rhs, holds
+    lhs, rhs, order = _replication(dists, tup, variant, point=v)
+    return lhs, rhs, order <= 0
 
 
 def replication_sbp_check(dists, tup, delta, center, variant: str = "symmetrized"):
@@ -258,36 +288,5 @@ def replication_sbp_check(dists, tup, delta, center, variant: str = "symmetrized
     geometric mean of best-center ball masses at radius 4*delta of the
     replicated factors.  holds is decided exactly.
     """
-    if variant == "symmetrized":
-        divisor = 4
-    elif variant == "origin-symmetric":
-        divisor = 2
-    else:
-        raise ValueError("variant must be 'symmetrized' or 'origin-symmetric'")
-    dists = list(dists)
-    if not dists:
-        raise ValueError("need at least one distribution")
-    d = dists[0].dimension
-    if any(p.dimension != d for p in dists):
-        raise ValueError("dimension mismatch")
-    _validate_tuple(dists, tup, divisor)
-    if variant == "origin-symmetric" and not all(p.is_origin_symmetric() for p in dists):
-        raise ValueError("origin-symmetric variant needs origin-symmetric inputs")
-
-    total = dists[0]
-    for p in dists[1:]:
-        total = convolve(total, p)
-    lhs = total.ball_mass(center, delta)
-
-    big_radius = 4 * Fraction(delta)
-    masses = []
-    for p, a in zip(dists, tup):
-        if variant == "symmetrized":
-            rep = self_convolve(symmetrize(p), a // 2)
-        else:
-            rep = self_convolve(p, a)
-        masses.append(rep.best_ball_mass(big_radius))
-    prefactor = 1 << d
-    rhs = prefactor * _geometric_mean_upper(masses, tup)
-    holds = _exact_product_dominates(lhs / prefactor, masses, tup)
-    return lhs, rhs, holds
+    lhs, rhs, order = _replication(dists, tup, variant, delta=delta, center=center)
+    return lhs, rhs, order <= 0

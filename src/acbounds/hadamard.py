@@ -83,65 +83,18 @@ def iter_partial_hadamard(k: int, n: int, budget: int = 10**8, fix_first_row: bo
     return _census_dfs(k, n, budget, fix_first_row, [0])
 
 
-def _count_census_chunk(args):
-    """Count completions of every first-row prefix in one chunk (worker body)."""
-    k, n, prefix_rows, budget = args
-    nodes = 0
-    count = 0
-    chosen = list(prefix_rows)
-    if len(chosen) == k:
-        return 1, 0
-    iters = [iter(range(1 << n))]
-    while iters:
-        try:
-            cand = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            if len(chosen) > len(prefix_rows):
-                chosen.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"DFS budget {budget} exceeded in chunk")
-        if all(n - 2 * ((cand ^ prev).bit_count()) == 0 for prev in chosen):
-            chosen.append(cand)
-            if len(chosen) == k:
-                count += 1
-                chosen.pop()
-            else:
-                iters.append(iter(range(1 << n)))
-    return count, nodes
-
-
 def enumerate_partial_hadamard(
     k: int, n: int, budget: int = 10**8, fix_first_row: bool = False, workers: int = 1
 ) -> CensusResult:
     """Exact count of k x n sign matrices with pairwise orthogonal rows.
 
-    With workers > 1 the DFS is partitioned into subtrees by first-row
-    prefix and the per-chunk counts are merged by exact addition in fixed
-    chunk order, so the total is deterministic regardless of scheduling.
+    `workers` is accepted for compatibility and ignored: the count is one
+    serial DFS.
     """
-    if workers <= 1:
-        counter = [0]
-        normalized = sum(1 for _ in _census_dfs(k, n, budget, fix_first_row, counter))
-        total = normalized * (1 << n) if fix_first_row else normalized
-        return CensusResult(k, n, total, normalized, fix_first_row, counter[0])
-
-    full = (1 << n) - 1
-    first_rows = [full] if fix_first_row else list(range(1 << n))
-    chunk_budget = max(1, budget // max(1, len(first_rows)))
-    jobs = [(k, n, (row,), chunk_budget) for row in first_rows]
-    from concurrent.futures import ProcessPoolExecutor
-
-    normalized = 0
-    nodes = len(first_rows)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for count, chunk_nodes in pool.map(_count_census_chunk, jobs, chunksize=64):
-            normalized += count
-            nodes += chunk_nodes
+    counter = [0]
+    normalized = sum(1 for _ in _census_dfs(k, n, budget, fix_first_row, counter))
     total = normalized * (1 << n) if fix_first_row else normalized
-    return CensusResult(k, n, total, normalized, fix_first_row, nodes)
+    return CensusResult(k, n, total, normalized, fix_first_row, counter[0])
 
 
 def masks_to_matrix(masks, n: int) -> ExactMatrix:

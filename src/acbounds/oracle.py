@@ -3,7 +3,9 @@
 Atom distributions of signed vector sums, sign-solution counts of linear
 systems, and lattice-point counts of subspaces are all computed exactly
 (rational masses, integer counts) so that every closed-form bound in the
-package can be tested against a certified oracle value.
+package can be tested against a certified oracle value.  Atom tables fold
+the integer convolution kernel of `distributions` over the vectors; solution
+counts for a single target meet in the middle of two Gray-code halves.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .distributions import LatticeDistribution, _conv_int
 from .exactmat import BudgetExceededError, ExactMatrix, rref_fraction
 from .system import VectorSystem
 
@@ -66,45 +69,30 @@ class AtomTable:
 def atom_distribution(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> AtomTable:
     """Exact distribution of sum(eps_i a_i) over independent Rademacher signs.
 
-    Meet in the middle: the two index halves are enumerated separately
-    (2^ceil(n/2) + 2^floor(n/2) sign vectors) and joined through a hash map
-    on partial sums, which collapses whenever the sum lattice is small.
+    Integer fold: the table of sign-vector counts is convolved with each
+    vector's two-point weights {v: 1, -v: 1} ({0: 2} for a zero vector), so
+    its size is that of the sum lattice, not 2^n.  The counts must total 2^n
+    and become `Fraction` masses once, at the end.
     """
     n = system.n
     if n > cap:
         raise BudgetExceededError(f"n={n} exceeds enumeration cap {cap}")
-    half = (n + 1) // 2
-    left = signed_sum_counts(system.vectors[:half])
-    right = signed_sum_counts(system.vectors[half:])
     d = system.dimension
-    counts = {}
-    if n == half:
-        counts = left
-    else:
-        for pl, cl in left.items():
-            for pr, cr in right.items():
-                key = tuple(pl[c] + pr[c] for c in range(d))
-                counts[key] = counts.get(key, 0) + cl * cr
+    counts = {(0,) * d: 1}
+    for v in system.vectors:
+        neg = tuple(-x for x in v)
+        counts = _conv_int(counts, {v: 1, neg: 1} if v != neg else {v: 2})
     denom = 1 << n
-    probs = {p: Fraction(c, denom) for p, c in counts.items()}
-    total = sum(probs.values())
-    if total != 1:
+    total = sum(counts.values())
+    if total != denom:
         raise AssertionError("atom masses must sum to 1 exactly")
-    return AtomTable(d, probs, total)
+    probs = {p: Fraction(c, denom) for p, c in counts.items()}
+    return AtomTable(d, probs, Fraction(total, denom))
 
 
 def atom_max(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> Fraction:
     """sup over u of Pr[sum(eps_i a_i) = u], exactly."""
     return atom_distribution(system, cap=cap).max_atom()
-
-
-def _ball_mass(probs, center, radius_sq: Fraction) -> Fraction:
-    mass = Fraction(0)
-    for p, q in probs.items():
-        dist_sq = sum((Fraction(x) - c) ** 2 for x, c in zip(p, center))
-        if dist_sq <= radius_sq:
-            mass += q
-    return mass
 
 
 def levy_lower_bound(
@@ -124,14 +112,14 @@ def levy_lower_bound(
     if centers not in ("atoms", "atoms+midpoints"):
         raise ValueError("centers must be 'atoms' or 'atoms+midpoints'")
     table = atom_distribution(system, cap=cap)
-    radius_sq = Fraction(radius) ** 2
+    dist = LatticeDistribution(table.dimension, table.probs)
     points = list(table.probs)
-    candidates = [tuple(Fraction(x) for x in p) for p in points]
+    candidates = list(points)
     if centers == "atoms+midpoints":
         for i, p in enumerate(points):
             for q in points[i + 1 :]:
                 candidates.append(tuple((Fraction(a) + b) / 2 for a, b in zip(p, q)))
-    return max(_ball_mass(table.probs, c, radius_sq) for c in candidates)
+    return max(dist.ball_mass(c, radius) for c in candidates)
 
 
 def count_sign_solutions_columns(columns, b, cap: int = SOLUTION_CAP_DEFAULT) -> int:

@@ -17,7 +17,7 @@ from .bounds import (
     erdos_lo_bound,
     halasz_atom_bound,
 )
-from .distributions import LatticeDistribution, replication_atom_check, replication_sbp_check
+from .distributions import LatticeDistribution, _replication
 from .hadamard import greedy_rank_partition
 from .oracle import atom_max
 from .system import VectorSystem
@@ -156,8 +156,7 @@ def random_lattice_distribution(rng, d: int, max_support: int = 5, span: int = 2
             weights[p] = weights[neg]
         else:
             weights[p] = rng.randint(1, 5)
-    total = sum(weights.values())
-    return LatticeDistribution(d, {p: Fraction(w, total) for p, w in weights.items()})
+    return LatticeDistribution._from_weights(d, weights, sum(weights.values()))
 
 
 def run_replication_sweep(
@@ -194,15 +193,15 @@ def run_replication_sweep(
         if small_ball:
             delta = Fraction(rng.randint(0, 4), 2)
             center = tuple(rng.randint(-2, 2) for _ in range(d))
-            lhs, rhs, holds = replication_sbp_check(dists, tup, delta, center, variant=variant)
+            lhs, rhs, order = _replication(dists, tup, variant, delta=delta, center=center)
         else:
             v = tuple(rng.randint(-3, 3) for _ in range(d))
-            lhs, rhs, holds = replication_atom_check(dists, tup, v, variant=variant)
-        if not holds:
+            lhs, rhs, order = _replication(dists, tup, variant, point=v)
+        if order > 0:
             violations.append({"instance": idx, "tuple": list(tup)})
         if rhs > 0:
             max_ratio = max(max_ratio, float(lhs) / rhs)
-        if float(lhs) == rhs:
+        if order == 0:
             tight += 1
     return SweepReport(instances, seed, violations, max_ratio, tight)
 

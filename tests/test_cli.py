@@ -139,3 +139,19 @@ def test_text_and_csv_formats(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert "bound" in lines[0]
+
+
+def test_oracle_count_uses_the_solution_cap(tmp_path, capsys):
+    path = tmp_path / "ones.txt"
+    path.write_text("1 28\n" + " ".join(["1"] * 28) + "\n")
+    code, out, _ = run_cli(capsys, "oracle", "count", "--matrix", str(path))
+    assert code == 0
+    assert json.loads(out)["count"] == "40116600"
+
+
+def test_oracle_atoms_keeps_the_atom_cap(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"d": 1, "vectors": [[1]] * 27, "partition": [list(range(27))]}))
+    code, _, err = run_cli(capsys, "oracle", "atoms", "--system", str(path))
+    assert code == 3
+    assert "cap 26" in err

@@ -159,3 +159,9 @@ def test_exponent_assembly():
 def test_exponent_validation():
     with pytest.raises(ValueError):
         hadamard_upper_bound_exponent(10, 0.5, 0.2, 1.0)
+
+
+def test_census_rejects_empty_shape_for_any_worker_count():
+    for workers in (1, 2):
+        with pytest.raises(ValueError):
+            enumerate_partial_hadamard(0, 3, workers=workers)

@@ -1,7 +1,12 @@
 """Randomized sweep generators: structural guarantees and determinism."""
 
+import math
 import random
+from fractions import Fraction
+from itertools import product
 
+from acbounds import sweeps
+from acbounds.distributions import LatticeDistribution, _replication, convolve
 from acbounds.sweeps import (
     random_lattice_distribution,
     random_vector_system,
@@ -57,3 +62,46 @@ def test_small_sweeps_pass():
     assert run_replication_sweep(instances=40, seed=1).ok()
     assert run_replication_sweep(instances=40, seed=1, variant="origin-symmetric").ok()
     assert run_replication_sweep(instances=25, seed=1, small_ball=True).ok()
+
+
+def test_rademacher_pair_is_an_exact_tie():
+    rademacher = LatticeDistribution.rademacher()
+    lhs, rhs, order = _replication(
+        [rademacher, rademacher], (2, 2), "origin-symmetric", point=(0,)
+    )
+    assert lhs == Fraction(1, 2)
+    assert order == 0
+    assert rhs > 0.5  # the float side is rounded up, so it never ties
+
+
+def _slow_origin_symmetric_order(dists, tup, point):
+    """Sign of lhs^L - prod m_i^(L/a_i) for the origin-symmetric variant, from
+    a direct sum over the product of the supports and repeated convolutions."""
+    d = len(point)
+    lhs = sum(
+        (math.prod(m for _, m in combo) for combo in product(*(p.atoms.items() for p in dists))
+         if tuple(sum(u[c] for u, _ in combo) for c in range(d)) == point),
+        Fraction(0),
+    )
+    lcm = math.lcm(*tup)
+    right = Fraction(1)
+    for p, a in zip(dists, tup):
+        power = p
+        for _ in range(a - 1):
+            power = convolve(power, p)
+        right *= power.mass_at((0,) * d) ** (lcm // a)
+    left = lhs**lcm
+    return (left > right) - (left < right)
+
+
+def test_replication_sweep_counts_exact_ties(monkeypatch):
+    calls = []
+
+    def recording(dists, tup, variant, **kwargs):
+        calls.append((dists, tup, kwargs["point"]))
+        return _replication(dists, tup, variant, **kwargs)
+
+    monkeypatch.setattr(sweeps, "_replication", recording)
+    report = run_replication_sweep(300, seed=42, variant="origin-symmetric")
+    ties = sum(_slow_origin_symmetric_order(*call) == 0 for call in calls)
+    assert report.tight_count == ties == 1
