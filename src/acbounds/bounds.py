@@ -130,6 +130,11 @@ class BoundParams:
             raise ValueError("C must be positive")
 
 
+# Relative width at which `stable_rank` stops tightening its enclosure of the
+# squared operator norm.
+ENCLOSURE_REL_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class StableRankReport:
     hs_norm_sq: Fraction
@@ -140,26 +145,33 @@ class StableRankReport:
 
 
 def _is_psd(mat) -> bool:
-    """Exact PSD test for a symmetric rational matrix via pivoted elimination."""
-    a = [[Fraction(x) for x in row] for row in mat]
+    """Exact PSD test for a symmetric integer matrix.
+
+    Fraction-free symmetric elimination with diagonal pivots, reading and
+    updating the upper triangle only: the matrix is PSD iff every pivot is
+    >= 0 and a zero pivot has a zero row.  Each updated entry is a minor of
+    the input, so every division is exact and each pivot has the sign of the
+    corresponding pivot of rational elimination.
+    """
+    a = [list(row) for row in mat]
     n = len(a)
+    prev = 1
     for i in range(n):
-        p = a[i][i]
+        rowi = a[i]
+        p = rowi[i]
         if p < 0:
             return False
         if p == 0:
             # A PSD matrix with a zero diagonal entry has a zero row there.
-            if any(a[i][j] != 0 for j in range(i + 1, n)):
+            if any(rowi[j] != 0 for j in range(i + 1, n)):
                 return False
             continue
         for j in range(i + 1, n):
-            f = a[j][i] / p
-            if f == 0:
-                continue
+            f = rowi[j]
             rowj = a[j]
-            rowi = a[i]
             for l in range(j, n):
-                rowj[l] -= f * rowi[l]
+                rowj[l] = (p * rowj[l] - f * rowi[l]) // prev
+        prev = p
     return True
 
 
@@ -183,14 +195,14 @@ def _op_norm_guess(gram) -> float:
     return lam
 
 
-def stable_rank(m: ExactMatrix, enclosure_rel_tol: float = 1e-12) -> StableRankReport:
+def stable_rank(m: ExactMatrix) -> StableRankReport:
     """floor(||A||_HS^2 / ||A||^2) with a certified floor.
 
     The squared Hilbert-Schmidt norm is an exact integer.  The floor is
     decided exactly: floor >= k iff hs*I - k*Gram is PSD (an exact integer
     test), so the returned stable rank is certified, and the operator-norm
     enclosure is then tightened by exact PSD bisection until both endpoints
-    give the same floor and the requested relative width.
+    give the same floor and a relative width of ENCLOSURE_REL_TOL.
     """
     if m.rows == 0 or m.is_zero():
         raise ValueError("stable rank needs a nonzero matrix")
@@ -199,35 +211,30 @@ def stable_rank(m: ExactMatrix, enclosure_rel_tol: float = 1e-12) -> StableRankR
     gram = side.gram().entries  # the smaller of A A^T and A^T A
     n = len(gram)
 
-    def floor_at_least(k: int) -> bool:
+    def op_at_most(p: int, q: int) -> bool:
+        """The top eigenvalue of Gram is <= p/q, i.e. p*I - q*Gram is PSD."""
         shifted = [
-            [hs * (1 if i == j else 0) - k * gram[i][j] for j in range(n)] for i in range(n)
+            [p * (1 if i == j else 0) - q * gram[i][j] for j in range(n)] for i in range(n)
         ]
         return _is_psd(shifted)
 
+    # floor >= k iff the top eigenvalue is <= hs/k.
     lam_guess = _op_norm_guess(gram)
     k = max(1, min(n, int(hs / lam_guess) if lam_guess > 0 else 1))
-    while k > 1 and not floor_at_least(k):
+    while k > 1 and not op_at_most(hs, k):
         k -= 1
-    while k < n and floor_at_least(k + 1):
+    while k < n and op_at_most(hs, k + 1):
         k += 1
-    if not floor_at_least(k):
+    if not op_at_most(hs, k):
         raise NonconvergenceError("stable rank floor could not be certified")
 
     # Certified bracket for the top eigenvalue: (hs/(k+1), hs/k].
     lo, hi = Fraction(hs, k + 1), Fraction(hs, k)
-
-    def op_at_most(lam: Fraction) -> bool:
-        shifted = [
-            [lam * (1 if i == j else 0) - gram[i][j] for j in range(n)] for i in range(n)
-        ]
-        return _is_psd(shifted)
-
     for _ in range(80):
-        if float(hi - lo) <= enclosure_rel_tol * float(hi):
+        if float(hi - lo) <= ENCLOSURE_REL_TOL * float(hi):
             break
         mid = (lo + hi) / 2
-        if op_at_most(mid):
+        if op_at_most(mid.numerator, mid.denominator):
             hi = mid
         else:
             lo = mid

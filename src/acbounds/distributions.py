@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 
+from .bounds import _nudge_up
+
 
 class LatticeDistribution:
     """Finitely supported probability distribution on Z^d with exact masses.
@@ -206,8 +208,7 @@ def _geometric_mean_upper(masses, tup) -> float:
     value = 1.0
     for m, a in zip(masses, tup):
         value *= float(m) ** (1.0 / a)
-    for _ in range(8):
-        value = math.nextafter(value, math.inf)
+    value = _nudge_up(value, 8)
     return min(value, 1.0) if all(m <= 1 for m in masses) else value
 
 

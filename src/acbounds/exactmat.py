@@ -186,12 +186,20 @@ class SignMatrix:
         return self.cols - 2 * (self.row_masks[i] ^ self.row_masks[j]).bit_count()
 
 
-def _bareiss_rank(rows) -> int:
+def _bareiss(rows):
+    """Fraction-free (Bareiss) elimination of a copy of `rows`.
+
+    Returns (rank, sign, last_pivot): sign is (-1)^(row swaps) and last_pivot
+    the last nonzero pivot, so a square matrix of full rank has determinant
+    sign * last_pivot.  Every intermediate entry is a minor of the input, so
+    each division is exact.
+    """
     a = [list(r) for r in rows]
     if not a:
-        return 0
+        return 0, 1, 1
     nrows, ncols = len(a), len(a[0])
     r = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
         if r == nrows:
@@ -201,6 +209,7 @@ def _bareiss_rank(rows) -> int:
             continue
         if piv_row != r:
             a[r], a[piv_row] = a[piv_row], a[r]
+            sign = -sign
         piv = a[r][c]
         for i in range(r + 1, nrows):
             aic = a[i][c]
@@ -211,41 +220,22 @@ def _bareiss_rank(rows) -> int:
             rowi[c] = 0
         prev = piv
         r += 1
-    return r
+    return r, sign, prev
 
 
 def rank(m: ExactMatrix) -> int:
     """Exact rank over the rationals via fraction-free elimination."""
     if m.rows == 0:
         raise ValueError("rank of an empty matrix is undefined here")
-    return _bareiss_rank(m.entries)
+    return _bareiss(m.entries)[0]
 
 
 def det(m: ExactMatrix) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv_row is None:
-            return 0
-        if piv_row != c:
-            a[c], a[piv_row] = a[piv_row], a[c]
-            sign = -sign
-        piv = a[c][c]
-        for i in range(c + 1, n):
-            aic = a[i][c]
-            rowi = a[i]
-            rowc = a[c]
-            for j in range(c + 1, n):
-                rowi[j] = (piv * rowi[j] - aic * rowc[j]) // prev
-            rowi[c] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
+    r, sign, last_pivot = _bareiss(m.entries)
+    return sign * last_pivot if r == m.rows else 0
 
 
 def gram_det(m: ExactMatrix) -> int:

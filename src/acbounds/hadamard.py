@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .bounds import atom_bound_dominates
-from .exactmat import BudgetExceededError, ExactMatrix, rank
+from .exactmat import BudgetExceededError, ExactMatrix, _bareiss, rank
 from .oracle import count_sign_solutions_columns
 
 # Rational upper enclosure of e^2, tight to 1e-7: keeps the strict
@@ -115,7 +115,7 @@ def greedy_rank_partition(m: ExactMatrix, r: int, ell: int):
 
     Runs ell rounds; each round scans the unused columns in order and keeps
     any column that enlarges the span of the current block (independence
-    tested by exact elimination).  On success every block is re-certified
+    tested by fraction-free elimination).  On success every block is re-certified
     with an exact rank computation.  Failure is an expected outcome for
     infeasible inputs, not an error.
     """
@@ -127,27 +127,16 @@ def greedy_rank_partition(m: ExactMatrix, r: int, ell: int):
         return None
     used = set()
     blocks = []
-    cols = [tuple(Fraction(m.entries[i][j]) for i in range(m.rows)) for j in range(m.cols)]
+    cols = [m.column(j) for j in range(m.cols)]
     for _ in range(ell):
-        basis = []  # eliminated spanning rows with leading pivots
         block = []
         for j in range(m.cols):
             if j in used:
                 continue
-            vec = list(cols[j])
-            for piv_idx, row in basis:
-                f = vec[piv_idx]
-                if f != 0:
-                    for t in range(len(vec)):
-                        vec[t] -= f * row[t]
-            piv = next((t for t, x in enumerate(vec) if x != 0), None)
-            if piv is None:
-                continue
-            inv = vec[piv]
-            basis.append((piv, [x / inv for x in vec]))
-            block.append(j)
-            if len(block) == r:
-                break
+            if _bareiss([cols[t] for t in block] + [cols[j]])[0] > len(block):
+                block.append(j)
+                if len(block) == r:
+                    break
         if len(block) < r:
             return None
         used.update(block)
@@ -167,6 +156,17 @@ def certify_rank_partition(m: ExactMatrix, partition: RankPartition) -> None:
             seen.add(j)
         if rank(m.column_submatrix(block)) < partition.r:
             raise AssertionError("rank partition block fails its rank certificate")
+
+
+def deal_leftover_columns(blocks, n: int) -> list:
+    """Blocks extended by every column in range(n) that none of them uses,
+    dealt round-robin in index order.  Extra columns only raise block ranks,
+    so every bound that consumes the partition stays valid."""
+    blocks = [list(b) for b in blocks]
+    used = {j for b in blocks for j in b}
+    for idx, j in enumerate(j for j in range(n) if j not in used):
+        blocks[idx % len(blocks)].append(j)
+    return blocks
 
 
 def feasibility_condition(k: int, n: int, r: int, ell: int) -> bool:
@@ -235,11 +235,6 @@ class PipelineReport:
         }
 
 
-def _atom_bound_dominates(solutions: int, n: int, ranks, ell: int) -> bool:
-    """Exactly decide solutions/2^n <= (2^-ell C(ell, ell/2))^(sum r/ell)."""
-    return atom_bound_dominates(Fraction(solutions, 1 << n), ranks, ell)
-
-
 def pipeline_bound_check(
     k: int,
     n: int,
@@ -296,17 +291,12 @@ def pipeline_bound_check(
                     if (r, ell) in feasible:
                         report.partition_failures += 1
                     continue
-                ranks = [rank(matrix.column_submatrix(b)) for b in partition.blocks]
                 # Cover the leftover columns so the partition bound applies
-                # to the full system: extras only increase block ranks.
-                leftover = [j for j in range(n) if not any(j in b for b in partition.blocks)]
-                if leftover:
-                    blocks = [list(b) for b in partition.blocks]
-                    for idx, j in enumerate(leftover):
-                        blocks[idx % ell].append(j)
-                    ranks = [rank(matrix.column_submatrix(b)) for b in blocks]
+                # to the full system.
+                blocks = deal_leftover_columns(partition.blocks, n)
+                ranks = [rank(matrix.column_submatrix(b)) for b in blocks]
                 report.halasz_checks += 1
-                ratio_bound = _atom_bound_dominates(sols, n, ranks, ell)
+                ratio_bound = atom_bound_dominates(Fraction(sols, 1 << n), ranks, ell)
                 if not ratio_bound:
                     report.halasz_violations += 1
                 bound_float = float(Fraction(comb(ell, ell // 2), 1 << ell)) ** (

@@ -260,17 +260,23 @@ def _pointwise_restriction(g_val, s, t, eps):
     return (s * s / 2 + 1 - s - (1 + eps) * t * t) / (1 - t * t)
 
 
-def _minimize_scalar(fn, lo, hi, grid_step):
-    """Grid scan at `grid_step` then golden-section refinement to ~1e-13."""
-    steps = max(1, int(round((hi - lo) / grid_step)))
+# Grid spacing of the scans in s; it is also the lower end of the s range.
+GRID_STEP = 1e-4
+# Low-rank threshold gamma (rank <= gamma * m) recorded with the solved constants.
+GAMMA = 0.75
+
+
+def _minimize_scalar(fn, lo, hi):
+    """Grid scan at GRID_STEP then golden-section refinement to ~1e-13."""
+    steps = max(1, int(round((hi - lo) / GRID_STEP)))
     best_s, best_v = lo, fn(lo)
     for i in range(1, steps + 1):
         s = lo + i * (hi - lo) / steps
         v = fn(s)
         if v < best_v:
             best_s, best_v = s, v
-    a = max(lo, best_s - 2 * grid_step)
-    b = min(hi, best_s + 2 * grid_step)
+    a = max(lo, best_s - 2 * GRID_STEP)
+    b = min(hi, best_s + 2 * GRID_STEP)
     inv_phi = (math.sqrt(5) - 1) / 2
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
@@ -320,16 +326,16 @@ class CaseConstants:
     delta_improve: float
 
 
-def _boundary_case(case_id, g_fn, t_of_s, s_lo, s_hi, eps, grid_step):
+def _boundary_case(case_id, g_fn, t_of_s, s_lo, s_hi, eps):
     def value(s):
         t = t_of_s(s)
         return _pointwise_restriction(g_fn(s, t), s, t, eps)
 
-    s_best, v_best = _minimize_scalar(value, s_lo, s_hi, grid_step)
+    s_best, v_best = _minimize_scalar(value, s_lo, s_hi)
     return CaseRestriction(case_id, v_best, s_best, t_of_s(s_best))
 
 
-def _crossing_case(case_id, which_g, s_lo, s_hi, eps, grid_step, sharpen=0.0):
+def _crossing_case(case_id, which_g, s_lo, s_hi, eps, sharpen=0.0):
     """Fixed point of: beta = min over the f = g crossing curve of -g + sharpen.
 
     The crossing t solves alpha t^2 - (2-s) t + q(s) = 0 (alpha = beta - eps);
@@ -359,7 +365,7 @@ def _crossing_case(case_id, which_g, s_lo, s_hi, eps, grid_step, sharpen=0.0):
     s_best = t_best = math.nan
     for _ in range(300):
         alpha = beta - eps
-        s_best, v_best = _minimize_scalar(lambda s: value(s, alpha), s_lo, s_hi, grid_step)
+        s_best, v_best = _minimize_scalar(lambda s: value(s, alpha), s_lo, s_hi)
         if v_best is math.inf or v_best == math.inf:
             return CaseRestriction(case_id, math.inf, math.nan, math.nan)
         if abs(v_best - beta) < 1e-13:
@@ -374,7 +380,7 @@ def _crossing_case(case_id, which_g, s_lo, s_hi, eps, grid_step, sharpen=0.0):
     return CaseRestriction(case_id, beta, s_best, t_best)
 
 
-def solve_case_constants(eps: float = 1e-6, grid_step: float = 1e-4) -> CaseAnalysis:
+def solve_case_constants(eps: float = 1e-6) -> CaseAnalysis:
     """Solve all six case restrictions on the normalized exponent system.
 
     Cases 1-4 sit on boundary curves of the feasible (s, t) region, where the
@@ -382,14 +388,14 @@ def solve_case_constants(eps: float = 1e-6, grid_step: float = 1e-4) -> CaseAnal
     f = g2 / f = g1 crossing curves and are solved by fixed-point iteration
     with a grid scan plus local refinement in s.
     """
-    lo = grid_step
+    lo = GRID_STEP
     cases = (
-        _boundary_case(1, _g1, lambda s: 1 - s, lo, 0.5, eps, grid_step),
-        _boundary_case(2, _g1, lambda s: 1 - s / 2, lo, 0.5, eps, grid_step),
-        _boundary_case(3, _g2, lambda s: 1 - s / 2, 0.5, 2 / 3, eps, grid_step),
-        _boundary_case(4, _g2, lambda s: s, 0.5, 2 / 3, eps, grid_step),
-        _crossing_case(5, 2, 0.5, 2 / 3, eps, grid_step),
-        _crossing_case(6, 1, lo, 0.5, eps, grid_step),
+        _boundary_case(1, _g1, lambda s: 1 - s, lo, 0.5, eps),
+        _boundary_case(2, _g1, lambda s: 1 - s / 2, lo, 0.5, eps),
+        _boundary_case(3, _g2, lambda s: 1 - s / 2, 0.5, 2 / 3, eps),
+        _boundary_case(4, _g2, lambda s: s, 0.5, 2 / 3, eps),
+        _crossing_case(5, 2, 0.5, 2 / 3, eps),
+        _crossing_case(6, 1, lo, 0.5, eps),
     )
     worst = min(c.beta for c in cases)
     return CaseAnalysis(cases, worst, 1 - worst, eps)
@@ -406,9 +412,7 @@ class ImprovedAnalysis:
     constants: CaseConstants
 
 
-def improved_case_constants(
-    beta_small: float, eps: float = 1e-6, grid_step: float = 1e-4, gamma: float = 0.75
-) -> ImprovedAnalysis:
+def improved_case_constants(beta_small: float, eps: float = 1e-6) -> ImprovedAnalysis:
     """Re-solve the binding crossing case with the sharpened exponent.
 
     The crossing case is split at s = 1/10: below it the unsharpened curve
@@ -419,17 +423,17 @@ def improved_case_constants(
     """
     if beta_small < 0 or beta_small > 2**-10:
         raise ValueError("beta_small must lie in [0, 2^-10]")
-    baseline = solve_case_constants(eps=eps, grid_step=grid_step)
+    baseline = solve_case_constants(eps=eps)
     sharpen = beta_small * beta_small / 2
-    case61 = _crossing_case(61, 1, grid_step, 0.1, eps, grid_step, sharpen=0.0)
-    case62 = _crossing_case(62, 1, 0.1, 0.5, eps, grid_step, sharpen=sharpen)
+    case61 = _crossing_case(61, 1, GRID_STEP, 0.1, eps, sharpen=0.0)
+    case62 = _crossing_case(62, 1, 0.1, 0.5, eps, sharpen=sharpen)
     others = [c.beta for c in baseline.restrictions if c.case_id != 6]
     new_worst = min(others + [case61.beta, case62.beta])
     delta = new_worst - baseline.worst_beta
     constants = CaseConstants(
         alpha=new_worst - eps,
         beta=new_worst,
-        gamma=gamma,
+        gamma=GAMMA,
         beta_improve=beta_small,
         delta_improve=delta,
     )

@@ -5,7 +5,8 @@ systems, and lattice-point counts of subspaces are all computed exactly
 (rational masses, integer counts) so that every closed-form bound in the
 package can be tested against a certified oracle value.  Atom tables fold
 the integer convolution kernel of `distributions` over the vectors; solution
-counts for a single target meet in the middle of two Gray-code halves.
+counts for a single target fold each half of the columns the same way and
+join the halves.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .distributions import LatticeDistribution, _conv_int
 from .exactmat import BudgetExceededError, ExactMatrix, rref_fraction
@@ -23,30 +25,18 @@ SOLUTION_CAP_DEFAULT = 40
 COMBDIM_RANK_CAP_DEFAULT = 20
 
 
-def signed_sum_counts(vectors) -> dict:
-    """Count, for every lattice point u, the sign vectors with sum(eps_i v_i) = u.
+def _sign_sum_counts(vectors, d: int) -> dict:
+    """Lattice point u -> number of sign vectors with sum(eps_i v_i) = u.
 
-    Gray-code iteration: each of the 2^h sign assignments is visited once and
-    the running sum is updated incrementally in O(d).
+    Integer fold: the table is convolved with each vector's two-point weights
+    {v: 1, -v: 1} ({0: 2} for a zero vector), so its size is that of the sum
+    lattice, not 2^len(vectors).
     """
-    vectors = [tuple(v) for v in vectors]
-    h = len(vectors)
-    if h == 0:
-        return {(): 1}
-    d = len(vectors[0])
-    signs = [1] * h
-    cur = [sum(v[c] for v in vectors) for c in range(d)]
-    counts = {}
-    key = tuple(cur)
-    counts[key] = counts.get(key, 0) + 1
-    for g in range(1, 1 << h):
-        i = (g & -g).bit_length() - 1
-        signs[i] = -signs[i]
-        vi = vectors[i]
-        for c in range(d):
-            cur[c] += 2 * signs[i] * vi[c]
-        key = tuple(cur)
-        counts[key] = counts.get(key, 0) + 1
+    counts = {(0,) * d: 1}
+    for v in vectors:
+        v = tuple(v)
+        neg = tuple(-x for x in v)
+        counts = _conv_int(counts, {v: 1, neg: 1} if v != neg else {v: 2})
     return counts
 
 
@@ -61,27 +51,18 @@ class AtomTable:
     def max_atom(self) -> Fraction:
         return max(self.probs.values())
 
-    def argmax(self):
-        best = self.max_atom()
-        return min(p for p, q in self.probs.items() if q == best)
-
 
 def atom_distribution(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> AtomTable:
     """Exact distribution of sum(eps_i a_i) over independent Rademacher signs.
 
-    Integer fold: the table of sign-vector counts is convolved with each
-    vector's two-point weights {v: 1, -v: 1} ({0: 2} for a zero vector), so
-    its size is that of the sum lattice, not 2^n.  The counts must total 2^n
-    and become `Fraction` masses once, at the end.
+    The sign-vector counts of the integer fold must total 2^n and become
+    `Fraction` masses once, at the end.
     """
     n = system.n
     if n > cap:
         raise BudgetExceededError(f"n={n} exceeds enumeration cap {cap}")
     d = system.dimension
-    counts = {(0,) * d: 1}
-    for v in system.vectors:
-        neg = tuple(-x for x in v)
-        counts = _conv_int(counts, {v: 1, neg: 1} if v != neg else {v: 2})
+    counts = _sign_sum_counts(system.vectors, d)
     denom = 1 << n
     total = sum(counts.values())
     if total != denom:
@@ -113,13 +94,14 @@ def levy_lower_bound(
         raise ValueError("centers must be 'atoms' or 'atoms+midpoints'")
     table = atom_distribution(system, cap=cap)
     dist = LatticeDistribution(table.dimension, table.probs)
-    points = list(table.probs)
-    candidates = list(points)
+    best = dist.best_ball_mass(radius)
     if centers == "atoms+midpoints":
+        points = list(table.probs)
         for i, p in enumerate(points):
             for q in points[i + 1 :]:
-                candidates.append(tuple((Fraction(a) + b) / 2 for a, b in zip(p, q)))
-    return max(dist.ball_mass(c, radius) for c in candidates)
+                midpoint = tuple((Fraction(a) + b) / 2 for a, b in zip(p, q))
+                best = max(best, dist.ball_mass(midpoint, radius))
+    return best
 
 
 def count_sign_solutions_columns(columns, b, cap: int = SOLUTION_CAP_DEFAULT) -> int:
@@ -133,18 +115,11 @@ def count_sign_solutions_columns(columns, b, cap: int = SOLUTION_CAP_DEFAULT) ->
     b = tuple(b)
     if len(b) != d:
         raise ValueError("target vector length mismatch")
+    # Meet in the middle: fold each half, then join on left + right = b.
     half = (n + 1) // 2
-    left = signed_sum_counts(columns[:half])
-    right = signed_sum_counts(columns[half:])
-    if n == half:
-        return left.get(b, 0)
-    total = 0
-    for pl, cl in left.items():
-        need = tuple(b[c] - pl[c] for c in range(d))
-        cr = right.get(need)
-        if cr:
-            total += cl * cr
-    return total
+    left = _sign_sum_counts(columns[:half], d)
+    right = _sign_sum_counts(columns[half:], d)
+    return sum(cl * right.get(tuple(map(sub, b, pl)), 0) for pl, cl in left.items())
 
 
 def count_sign_solutions(a: ExactMatrix, b=None, cap: int = SOLUTION_CAP_DEFAULT) -> int:

@@ -18,7 +18,7 @@ from .bounds import (
     halasz_atom_bound,
 )
 from .distributions import LatticeDistribution, _replication
-from .hadamard import greedy_rank_partition
+from .hadamard import deal_leftover_columns, greedy_rank_partition
 from .oracle import atom_max
 from .system import VectorSystem
 
@@ -44,18 +44,11 @@ def random_vector_system(rng, d_max: int = 4, n_max: int = 20) -> VectorSystem:
     matrix = system.full_matrix()
     ell_choices = [ell for ell in (2, 4, 6) if ell <= n]
     ell = rng.choice(ell_choices)
-    partition = None
     for r in range(min(d, n // ell), 0, -1):
         found = greedy_rank_partition(matrix, r, ell)
         if found is not None:
-            partition = [list(b) for b in found.blocks]
-            break
-    if partition is None:
-        raise AssertionError("rank-1 partition must exist for nonzero vectors")
-    used = {j for b in partition for j in b}
-    for idx, j in enumerate(sorted(set(range(n)) - used)):
-        partition[idx % ell].append(j)
-    return VectorSystem.from_vectors(vectors, partition)
+            return VectorSystem.from_vectors(vectors, deal_leftover_columns(found.blocks, n))
+    raise AssertionError("rank-1 partition must exist for nonzero vectors")
 
 
 def tightness_system(d: int, ell: int) -> VectorSystem:
@@ -97,9 +90,9 @@ def run_halasz_sweep(
     seed: int = 0,
     d_max: int = 4,
     n_max: int = 20,
-    include_tightness: bool = True,
 ) -> SweepReport:
-    """Exact atom maxima of random systems vs the central-binomial rank bound."""
+    """Exact atom maxima of random systems vs the central-binomial rank bound,
+    followed by the tightness family, where the bound must be attained."""
     rng = random.Random(seed)
     violations = []
     max_ratio = 0.0
@@ -117,17 +110,16 @@ def run_halasz_sweep(
         max_ratio = max(max_ratio, ratio)
         if oracle == bound_frac:
             tight += 1
-    if include_tightness:
-        for d in (1, 2, 3):
-            for ell in (2, 4):
-                system = tightness_system(d, ell)
-                oracle = atom_max(system)
-                bound = halasz_atom_bound(system.block_ranks(), system.ell)
-                if not (isinstance(bound, Fraction) and oracle == bound):
-                    violations.append({"instance": f"tightness d={d} ell={ell}"})
-                else:
-                    tight += 1
-                    max_ratio = max(max_ratio, 1.0)
+    for d in (1, 2, 3):
+        for ell in (2, 4):
+            system = tightness_system(d, ell)
+            oracle = atom_max(system)
+            bound = halasz_atom_bound(system.block_ranks(), system.ell)
+            if not (isinstance(bound, Fraction) and oracle == bound):
+                violations.append({"instance": f"tightness d={d} ell={ell}"})
+            else:
+                tight += 1
+                max_ratio = max(max_ratio, 1.0)
     return SweepReport(instances, seed, violations, max_ratio, tight)
 
 

@@ -3,11 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from acbounds.bounds import (
     BoundParams,
+    _is_psd,
     atom_general_bound,
     central_binomial_ratio,
     enumerate_reciprocal_tuples,
@@ -151,6 +153,107 @@ def test_stable_rank_bounds_certified_on_random_matrices():
 def test_stable_rank_rejects_zero():
     with pytest.raises(ValueError):
         stable_rank(ExactMatrix.from_rows([[0, 0], [0, 0]]))
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+        if rows[0][j]
+    )
+
+
+def _psd_by_minors(mat):
+    """Exact PSD criterion for a symmetric matrix: every principal minor is >= 0."""
+    n = len(mat)
+    return all(
+        _cofactor_det([[mat[i][j] for j in idx] for i in idx]) >= 0
+        for size in range(1, n + 1)
+        for idx in combinations(range(n), size)
+    )
+
+
+def _gram(rows):
+    return [[sum(a * b for a, b in zip(r1, r2)) for r2 in rows] for r1 in rows]
+
+
+def _shifted(p, q, gram):
+    """p*I - q*Gram."""
+    n = len(gram)
+    return [[p * (i == j) - q * gram[i][j] for j in range(n)] for i in range(n)]
+
+
+# 5 x 8, hs = 154: its top Gram eigenvalue is about 77.98 > 154/2, so the
+# stable rank is 1 (hs*I - 2*Gram is not PSD).
+NON_ORTHOGONAL_5X8 = [
+    [-2, 3, 3, -2, -3, -1, -2, -1],
+    [1, -2, 3, 1, -1, -1, 1, 0],
+    [3, -2, -3, 2, -1, 0, 2, 1],
+    [3, 1, 0, 3, 1, -2, 1, -2],
+    [1, 1, -3, 3, 0, 3, -2, 1],
+]
+
+
+def test_is_psd_matches_principal_minors():
+    rng = random.Random(5)
+    cases = [
+        [[17, 3, -3, 0], [3, 21, 16, 16], [-3, 16, 17, 8], [0, 16, 8, 15]],  # det -5711
+        [[5, 4, 3], [4, 5, 3], [3, 3, 2]],  # singular Gram matrix, PSD
+        [[0, 0], [0, 1]],
+        [[0, 1], [1, 0]],
+        [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
+    ]
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        sym = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                sym[i][j] = sym[j][i] = rng.randint(-3, 3) + (6 if i == j else 0)
+        cases.append(sym)
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(rng.randint(1, n))] for _ in range(n)]
+        width = max(len(r) for r in rows)
+        rows = [r + [0] * (width - len(r)) for r in rows]
+        gram = _gram(rows)  # rank <= width, often singular
+        cases.append(gram)
+        trace = sum(gram[i][i] for i in range(n))
+        cases.append(_shifted(rng.randint(0, trace), 1, gram))
+    verdicts = [_is_psd(mat) for mat in cases]
+    assert verdicts == [_psd_by_minors(mat) for mat in cases]
+    assert verdicts[:2] == [False, True]
+    assert 100 < sum(verdicts) < len(cases) - 100
+
+
+def _check_stable_rank_against_minors(rows):
+    report = stable_rank(ExactMatrix.from_rows(rows))
+    side = rows if len(rows) <= len(rows[0]) else [list(c) for c in zip(*rows)]
+    gram = _gram(side)
+    hs = sum(x * x for r in rows for x in r)
+    k = report.stable_rank
+    assert report.hs_norm_sq == hs
+    assert _psd_by_minors(_shifted(hs, k, gram))
+    assert not _psd_by_minors(_shifted(hs, k + 1, gram))
+    # The enclosure holds the top eigenvalue: lower < lambda_max <= upper.
+    lo, hi = report.op_norm_sq_lower, report.op_norm_sq_upper
+    assert _psd_by_minors(_shifted(hi.numerator, hi.denominator, gram))
+    assert not _psd_by_minors(_shifted(lo.numerator, lo.denominator, gram))
+    return report
+
+
+def test_stable_rank_floor_matches_principal_minors():
+    assert _check_stable_rank_against_minors(NON_ORTHOGONAL_5X8).stable_rank == 1
+    rng = random.Random(17)
+    checked = 0
+    while checked < 120:
+        nrows, cols = rng.randint(2, 5), rng.randint(2, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(nrows)]
+        if all(x == 0 for r in rows for x in r):
+            continue
+        _check_stable_rank_against_minors(rows)
+        checked += 1
 
 
 def test_halasz_sbp_formula_substitution():
