@@ -175,26 +175,6 @@ def _is_psd(mat) -> bool:
     return True
 
 
-def _op_norm_guess(gram) -> float:
-    """Float power-iteration estimate of the largest eigenvalue of a PSD matrix."""
-    n = len(gram)
-    g = [[float(x) for x in row] for row in gram]
-    v = [1.0 + 0.001 * i for i in range(n)]
-    lam = 0.0
-    for _ in range(400):
-        w = [sum(g[i][j] * v[j] for j in range(n)) for i in range(n)]
-        norm = math.sqrt(sum(x * x for x in w))
-        if norm == 0:
-            return 0.0
-        v = [x / norm for x in w]
-        new_lam = sum(v[i] * sum(g[i][j] * v[j] for j in range(n)) for i in range(n))
-        if abs(new_lam - lam) <= 1e-14 * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return lam
-
-
 def stable_rank(m: ExactMatrix) -> StableRankReport:
     """floor(||A||_HS^2 / ||A||^2) with a certified floor.
 
@@ -218,13 +198,16 @@ def stable_rank(m: ExactMatrix) -> StableRankReport:
         ]
         return _is_psd(shifted)
 
-    # floor >= k iff the top eigenvalue is <= hs/k.
-    lam_guess = _op_norm_guess(gram)
-    k = max(1, min(n, int(hs / lam_guess) if lam_guess > 0 else 1))
-    while k > 1 and not op_at_most(hs, k):
-        k -= 1
-    while k < n and op_at_most(hs, k + 1):
-        k += 1
+    # floor >= k iff the top eigenvalue is <= hs/k.  The top eigenvalue is at
+    # least the largest diagonal entry, so the floor is at most hs // that;
+    # binary-search the largest k that passes.
+    k, top = 1, min(n, hs // max(gram[i][i] for i in range(n)))
+    while k < top:
+        mid = (k + top + 1) // 2
+        if op_at_most(hs, mid):
+            k = mid
+        else:
+            top = mid - 1
     if not op_at_most(hs, k):
         raise NonconvergenceError("stable rank floor could not be certified")
 

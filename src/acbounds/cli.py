@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_had.add_argument("--n", type=int, default=1)
     p_had.add_argument("--r", type=int, default=1)
     p_had.add_argument("--ell", type=int, default=2)
-    p_had.add_argument("--budget", type=int, default=10**8)
+    p_had.add_argument("--budget", type=int, default=10**8,
+                       help="census: class-DP splits examined; verify: DFS row placements")
     p_had.add_argument("--fix-first-row", action="store_true")
     p_had.add_argument("--sample", type=int, default=1)
     p_had.add_argument("--c1", type=float, default=0.1)

@@ -1,9 +1,10 @@
 """Census of orthogonal-row sign matrices and the rank-partition machinery.
 
-Rows are bit-packed ints, so the pairwise-orthogonality test during the
-depth-first search is a single xor + popcount.  Counting is exact; the
-optional first-row normalization divides out the column-negation symmetry
-(count of labeled matrices = 2^n times the normalized count).
+Counts come from a DP over column classes; `iter_partial_hadamard` yields the
+matrices themselves by a DFS over bit-packed rows, one xor + popcount per
+orthogonality test.  Counting is exact; the optional first-row normalization
+divides out the column-negation symmetry (count of labeled matrices = 2^n
+times the normalized count).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .bounds import atom_bound_dominates
@@ -30,7 +32,7 @@ class CensusResult:
     matrix_count: int
     normalized_count: int
     first_row_fixed: bool
-    nodes_visited: int
+    nodes_visited: int  # (state, split) pairs the class DP examined
 
     def to_json(self) -> dict:
         return {
@@ -43,11 +45,19 @@ class CensusResult:
         }
 
 
-def _census_dfs(k: int, n: int, budget: int, fix_first_row: bool, counter):
+def iter_partial_hadamard(k: int, n: int, budget: int = 10**8, fix_first_row: bool = False):
+    """Yield every k x n orthogonal-row sign matrix as a tuple of row masks.
+
+    Lexicographic DFS over bit-packed rows; each candidate row is tested for
+    orthogonality against all chosen rows with one xor + popcount.  `budget`
+    caps the number of candidate placements.  With `fix_first_row` only
+    matrices whose first row is all ones are produced (one representative
+    per column-negation orbit).
+    """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     full = (1 << n) - 1
-
+    placements = 0
     chosen = []
     # Iterative DFS with explicit candidate iterators per level.
     iters = [iter((full,)) if fix_first_row else iter(range(1 << n))]
@@ -59,8 +69,8 @@ def _census_dfs(k: int, n: int, budget: int, fix_first_row: bool, counter):
             if chosen:
                 chosen.pop()
             continue
-        counter[0] += 1
-        if counter[0] > budget:
+        placements += 1
+        if placements > budget:
             raise BudgetExceededError(f"DFS budget {budget} exceeded")
         if all(n - 2 * ((cand ^ prev).bit_count()) == 0 for prev in chosen):
             chosen.append(cand)
@@ -71,30 +81,50 @@ def _census_dfs(k: int, n: int, budget: int, fix_first_row: bool, counter):
                 iters.append(iter(range(1 << n)))
 
 
-def iter_partial_hadamard(k: int, n: int, budget: int = 10**8, fix_first_row: bool = False):
-    """Yield every k x n orthogonal-row sign matrix as a tuple of row masks.
-
-    Lexicographic DFS over bit-packed rows; each candidate row is tested for
-    orthogonality against all chosen rows with one xor + popcount.  `budget`
-    caps the number of candidate placements.  With `fix_first_row` only
-    matrices whose first row is all ones are produced (one representative
-    per column-negation orbit).
-    """
-    return _census_dfs(k, n, budget, fix_first_row, [0])
-
-
 def enumerate_partial_hadamard(
     k: int, n: int, budget: int = 10**8, fix_first_row: bool = False, workers: int = 1
 ) -> CensusResult:
     """Exact count of k x n sign matrices with pairwise orthogonal rows.
 
-    `workers` is accepted for compatibility and ignored: the count is one
-    serial DFS.
+    A DP over column classes, one row at a time.  A state is the sorted tuple
+    of (column history, class size) pairs, bit i of a history being the sign
+    of row i; its weight counts the matrices with that column multiset.  A
+    new row splits each class of size c as j/(c - j), in C(c, j) ways, and is
+    orthogonal to row i iff n/2 columns agree with row i.  Children equal up
+    to negated rows merge.  `budget` caps the (state, split) pairs examined,
+    which `nodes_visited` reports; `workers` is accepted and ignored.
     """
-    counter = [0]
-    normalized = sum(1 for _ in _census_dfs(k, n, budget, fix_first_row, counter))
-    total = normalized * (1 << n) if fix_first_row else normalized
-    return CensusResult(k, n, total, normalized, fix_first_row, counter[0])
+    if k < 1 or n < 1:
+        raise ValueError("need k >= 1 and n >= 1")
+    first = 1 if fix_first_row else 0
+    states = {((first, n),): 1}
+    splits = 0
+    width = (2 * n).bit_length()
+    for row in range(first, k):
+        # Field i of a packed sum holds twice the agreements with row i.
+        target = sum(n << (width * i) for i in range(row))
+        children = {}
+        for classes, weight in states.items():
+            splits += math.prod(c + 1 for _, c in classes)
+            if splits > budget:
+                raise BudgetExceededError(f"census DP budget {budget} exceeded")
+            agree = [[sum(2 * (j if h >> i & 1 else c - j) << (width * i) for i in range(row))
+                      for j in range(c + 1)] for h, c in classes]
+            for js in product(*(range(c + 1) for _, c in classes)):
+                if sum(a[j] for a, j in zip(agree, js)) != target:
+                    continue
+                split = []
+                for (h, c), j in zip(classes, js):
+                    split += [(h | 1 << row, j)] * (j > 0) + [(h, c - j)] * (j < c)
+                # Negating rows keeps every count: key a child by the least of
+                # its forms with one class's history xored to 0.
+                key = min(tuple(sorted((h ^ h0, c) for h, c in split)) for h0, _ in split)
+                w = weight * math.prod(comb(c, j) for (_, c), j in zip(classes, js))
+                children[key] = children.get(key, 0) + w
+        states = children
+    normalized = sum(states.values())
+    total = normalized << n if fix_first_row else normalized
+    return CensusResult(k, n, total, normalized, fix_first_row, splits)
 
 
 def masks_to_matrix(masks, n: int) -> ExactMatrix:
@@ -244,12 +274,13 @@ def pipeline_bound_check(
 ) -> PipelineReport:
     """Exhaustively verify the counting pipeline over one census.
 
-    For every enumerated matrix: the Gram matrix must equal n*I (hence its
-    determinant is n^k exactly), the number of sign solutions of H x = 0
+    For every enumerated matrix: the Gram matrix, from popcounts, must equal
+    n*I (hence its determinant is n^k exactly), the number of sign solutions of H x = 0
     must not exceed the subspace count 2^(n-k), and for every even-ell
     rank partition the greedy construction finds, the central-binomial atom
     bound must dominate the exact solution count (decided rationally).
-    Partition attempts run on every `partition_sample`-th matrix.
+    Partition attempts run on every `partition_sample`-th matrix, which also
+    gets its Gram matrix recomputed by `ExactMatrix.gram`.
     """
     report = PipelineReport(k=k, n=n, odlyzko_count=1 << (n - k))
     feasible = [
@@ -261,6 +292,7 @@ def pipeline_bound_check(
     attempted = [(r, ell) for r in range(1, k + 1) for ell in (2, 4, 6) if r * ell <= n]
     report.feasible_pairs = tuple(feasible)
     report.attempted_pairs = tuple(attempted)
+    n_identity = tuple(tuple(n if i == j else 0 for j in range(k)) for i in range(k))
     solution_memo = {}
     for masks in iter_partial_hadamard(k, n, budget=budget, fix_first_row=fix_first_row):
         report.matrices_checked += 1
@@ -285,6 +317,9 @@ def pipeline_bound_check(
             report.odlyzko_violations += 1
         if (report.matrices_checked - 1) % partition_sample == 0 and attempted:
             matrix = masks_to_matrix(masks, n)
+            # Independent of the popcount formula the DFS itself uses.
+            if matrix.gram().entries != n_identity:
+                report.gram_violations += 1
             for r, ell in attempted:
                 partition = greedy_rank_partition(matrix, r, ell)
                 if partition is None:

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -46,6 +47,39 @@ def test_census_symmetry_divisibility():
 def test_census_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_partial_hadamard(3, 12, budget=1000)
+
+
+def _dfs_count(k, n, fix_first_row):
+    return sum(1 for _ in iter_partial_hadamard(k, n, fix_first_row=fix_first_row))
+
+
+def test_census_dp_matches_dfs():
+    # The free DFS at n = 8 and k >= 3 would list 645,120 and 11,612,160
+    # matrices, so there the oracle is the fixed-first-row DFS times 2^n
+    # (negating columns maps any first row to all ones).
+    for k in range(1, 5):
+        for n in range(1, 9):
+            fixed = _dfs_count(k, n, True)
+            free = fixed << n if n == 8 and k >= 3 else _dfs_count(k, n, False)
+            dp_fixed = enumerate_partial_hadamard(k, n, fix_first_row=True)
+            dp_free = enumerate_partial_hadamard(k, n)
+            assert (dp_fixed.normalized_count, dp_fixed.matrix_count) == (fixed, fixed << n)
+            assert dp_free.normalized_count == dp_free.matrix_count == free
+
+
+def test_census_closed_forms():
+    h412 = comb(12, 6) * comb(6, 3) ** 2 * sum(comb(3, t) ** 4 for t in range(4))
+    assert h412 == 60_614_400
+    assert enumerate_partial_hadamard(4, 12, fix_first_row=True).normalized_count == h412
+    h416 = enumerate_partial_hadamard(4, 16, fix_first_row=True)
+    assert h416.normalized_count == 114_144_030_000
+    assert h416.matrix_count == 114_144_030_000 << 16
+    # Every 8 x 8 Hadamard matrix is equivalent to Sylvester's, whose
+    # automorphism group has order 21504.
+    full = (2**8 * math.factorial(8)) ** 2 // 21504
+    assert full == 4_954_521_600
+    assert enumerate_partial_hadamard(8, 8).matrix_count == full
+    assert enumerate_partial_hadamard(8, 8, fix_first_row=True).matrix_count == full
 
 
 def test_census_matrices_have_exact_gram():
