@@ -2,22 +2,25 @@
 
 Run from the root of a checkout:
 
-    python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 --seconds 20 \\
-        --workloads census,atoms,replication,normal --out BENCH.json
+    python3 scripts/bench_pairs.py --base HEAD~1 --out BENCH.json
 
 The base revision is exported with `git archive` into a temporary directory
-(its committed files only, as a fresh checkout would have them).  Each pair
-runs `perfbench/run.py --trace 0` once in the export and once in this
+(its committed files only, as a fresh checkout would have them).  For every
+workload in BENCHMARK.json, each of 10 pairs runs `perfbench/run.py --trace 0`
+for BENCHMARK.json's `run_seconds` once in the export and once in this
 checkout, with the same seed (101 + pair index), alternating which side goes
 first.  One traced run per side follows, for the per-layer numbers.  The
 file records every run's output, and per workload and side the median and
 quartiles of each end-to-end metric and the number of pairs the change won.
+The change side is named by its commit and, when the checkout differs from
+that commit, by the SHA-256 of `git diff HEAD`.
 Runs are sequential: one benchmark process at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -30,6 +33,7 @@ from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(*args) -> bytes:
@@ -57,20 +61,22 @@ def quartiles(values) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--workloads", default="census,atoms,replication,normal")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower_is_better = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     base_sha = git("rev-parse", args.base).decode().strip()
+    diff = git("diff", "HEAD")
     report = {
         "base": base_sha,
-        "change": "working tree at " + git("rev-parse", "HEAD").decode().strip(),
-        "pairs": args.pairs,
-        "seconds": args.seconds,
+        "change": {
+            "commit": git("rev-parse", "HEAD").decode().strip(),
+            "uncommitted_diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None,
+        },
+        "pairs": PAIRS,
+        "seconds": seconds,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "workloads": {},
@@ -80,12 +86,12 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=BytesIO(git("archive", "--format=tar", base_sha))) as tar:
             tar.extractall(base_dir, filter="data")
         sides = {"base": base_dir, "change": ROOT}
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in benchmark["workloads"]):
             runs = []
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
-                    out = run_bench(sides[side], workload, 101 + pair, args.seconds, 0)
+                    out = run_bench(sides[side], workload, 101 + pair, seconds, 0)
                     runs.append({"pair": pair, "side": side, "seed": 101 + pair, **out})
                     print(f"{workload} pair {pair} {side}: wall_s "
                           f"{out['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
@@ -98,9 +104,9 @@ def main(argv=None) -> int:
                 wins[m] = sum(
                     (by_pair[p, "change"] < by_pair[p, "base"]) == lower
                     and by_pair[p, "change"] != by_pair[p, "base"]
-                    for p in range(args.pairs)
+                    for p in range(PAIRS)
                 )
-            traced = {side: run_bench(path, workload, 101, args.seconds, 1)
+            traced = {side: run_bench(path, workload, 101, seconds, 1)
                       for side, path in sides.items()}
             report["workloads"][workload] = {
                 "runs": runs,

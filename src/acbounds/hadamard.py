@@ -227,6 +227,7 @@ class PipelineReport:
     n: int
     matrices_checked: int = 0
     gram_violations: int = 0
+    exact_gram_violations: int = 0
     odlyzko_violations: int = 0
     halasz_violations: int = 0
     halasz_checks: int = 0
@@ -241,6 +242,7 @@ class PipelineReport:
     def ok(self) -> bool:
         return (
             self.gram_violations == 0
+            and self.exact_gram_violations == 0
             and self.odlyzko_violations == 0
             and self.halasz_violations == 0
             and self.partition_failures == 0
@@ -252,6 +254,7 @@ class PipelineReport:
             "n": self.n,
             "matrices_checked": self.matrices_checked,
             "gram_violations": self.gram_violations,
+            "exact_gram_violations": self.exact_gram_violations,
             "odlyzko_violations": self.odlyzko_violations,
             "halasz_violations": self.halasz_violations,
             "halasz_checks": self.halasz_checks,
@@ -280,7 +283,9 @@ def pipeline_bound_check(
     rank partition the greedy construction finds, the central-binomial atom
     bound must dominate the exact solution count (decided rationally).
     Partition attempts run on every `partition_sample`-th matrix, which also
-    gets its Gram matrix recomputed by `ExactMatrix.gram`.
+    gets its Gram matrix recomputed by `ExactMatrix.gram`. The report counts
+    popcount mismatches per row pair in `gram_violations` and recomputed
+    mismatches per matrix in `exact_gram_violations`.
     """
     report = PipelineReport(k=k, n=n, odlyzko_count=1 << (n - k))
     feasible = [
@@ -319,7 +324,7 @@ def pipeline_bound_check(
             matrix = masks_to_matrix(masks, n)
             # Independent of the popcount formula the DFS itself uses.
             if matrix.gram().entries != n_identity:
-                report.gram_violations += 1
+                report.exact_gram_violations += 1
             for r, ell in attempted:
                 partition = greedy_rank_partition(matrix, r, ell)
                 if partition is None:

@@ -159,6 +159,7 @@ def test_criterion_06_census_regressions():
             f"counts pinned {sorted(v[0] for v in counts.values())}, "
             f"{checked} matrices re-verified", elapsed)
     assert ok
+    assert all(r.exact_gram_violations == 0 for r in reports)
     assert elapsed < 600
 
 
