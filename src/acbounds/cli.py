@@ -380,9 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_had.add_argument("--r", type=int, default=1)
     p_had.add_argument("--ell", type=int, default=2)
     p_had.add_argument("--budget", type=int, default=10**8,
-                       help="census: class-DP splits examined; verify: DFS row placements")
+                       help="census and verify: cap on the class-DP splits examined")
     p_had.add_argument("--fix-first-row", action="store_true")
-    p_had.add_argument("--sample", type=int, default=1)
+    p_had.add_argument("--sample", type=int, default=1,
+                       help="accepted for compatibility and ignored: verify checks "
+                            "one matrix per class-DP state")
     p_had.add_argument("--c1", type=float, default=0.1)
     p_had.add_argument("--c2", type=float, default=0.2)
     p_had.add_argument("--C", type=float, default=0.0)

@@ -1,6 +1,7 @@
 """Census of orthogonal-row sign matrices and the rank-partition machinery.
 
-Counts come from a DP over column classes; `iter_partial_hadamard` yields the
+Counts and the pipeline check come from a DP over column classes, the
+pipeline checking one matrix per DP state; `iter_partial_hadamard` yields the
 matrices themselves by a DFS over bit-packed rows, one xor + popcount per
 orthogonality test.  Counting is exact; the optional first-row normalization
 divides out the column-negation symmetry (count of labeled matrices = 2^n
@@ -81,18 +82,14 @@ def iter_partial_hadamard(k: int, n: int, budget: int = 10**8, fix_first_row: bo
                 iters.append(iter(range(1 << n)))
 
 
-def enumerate_partial_hadamard(
-    k: int, n: int, budget: int = 10**8, fix_first_row: bool = False, workers: int = 1
-) -> CensusResult:
-    """Exact count of k x n sign matrices with pairwise orthogonal rows.
+def _census_states(k: int, n: int, budget: int, fix_first_row: bool):
+    """Final states of the column-class DP and the (state, split) pairs examined.
 
-    A DP over column classes, one row at a time.  A state is the sorted tuple
-    of (column history, class size) pairs, bit i of a history being the sign
-    of row i; its weight counts the matrices with that column multiset.  A
-    new row splits each class of size c as j/(c - j), in C(c, j) ways, and is
-    orthogonal to row i iff n/2 columns agree with row i.  Children equal up
-    to negated rows merge.  `budget` caps the (state, split) pairs examined,
-    which `nodes_visited` reports; `workers` is accepted and ignored.
+    A state is the sorted tuple of (column history, class size) pairs, bit i
+    of a history being the sign of row i; its weight counts the matrices with
+    that column multiset up to negated rows.  A new row splits each class of
+    size c as j/(c - j), in C(c, j) ways, and is orthogonal to row i iff n/2
+    columns agree with row i.  Children equal up to negated rows merge.
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
@@ -122,6 +119,19 @@ def enumerate_partial_hadamard(
                 w = weight * math.prod(comb(c, j) for (_, c), j in zip(classes, js))
                 children[key] = children.get(key, 0) + w
         states = children
+    return states, splits
+
+
+def enumerate_partial_hadamard(
+    k: int, n: int, budget: int = 10**8, fix_first_row: bool = False, workers: int = 1
+) -> CensusResult:
+    """Exact count of k x n sign matrices with pairwise orthogonal rows.
+
+    Sums the state weights of the column-class DP (`_census_states`).
+    `budget` caps the (state, split) pairs examined, which `nodes_visited`
+    reports; `workers` is accepted and ignored.
+    """
+    states, splits = _census_states(k, n, budget, fix_first_row)
     normalized = sum(states.values())
     total = normalized << n if fix_first_row else normalized
     return CensusResult(k, n, total, normalized, fix_first_row, splits)
@@ -223,6 +233,14 @@ def hadamard_upper_bound_exponent(n: int, c1: float, c2: float, C: float) -> flo
 
 @dataclass
 class PipelineReport:
+    """Tallies of `pipeline_bound_check`, one representative per DP state.
+
+    `matrices_checked` and the violation counts are in matrices, a state
+    counting once per matrix it stands for; `gram_violations` counts wrong
+    row pairs.  `halasz_checks` and `partition_failures` count (state, pair)
+    attempts.
+    """
+
     k: int
     n: int
     matrices_checked: int = 0
@@ -275,77 +293,55 @@ def pipeline_bound_check(
     fix_first_row: bool = True,
     partition_sample: int = 1,
 ) -> PipelineReport:
-    """Exhaustively verify the counting pipeline over one census.
+    """Verify the counting pipeline over one census, once per class-DP state.
 
-    For every enumerated matrix: the Gram matrix, from popcounts, must equal
-    n*I (hence its determinant is n^k exactly), the number of sign solutions of H x = 0
-    must not exceed the subspace count 2^(n-k), and for every even-ell
-    rank partition the greedy construction finds, the central-binomial atom
-    bound must dominate the exact solution count (decided rationally).
-    Partition attempts run on every `partition_sample`-th matrix, which also
-    gets its Gram matrix recomputed by `ExactMatrix.gram`. The report counts
-    popcount mismatches per row pair in `gram_violations` and recomputed
-    mismatches per matrix in `exact_gram_violations`.
+    Solution counts, Gram matrices and column ranks depend only on the
+    columns up to order and negated rows, which a `_census_states` state
+    fixes.  Each state's representative deals its classes' columns round
+    robin in key order.  Its `ExactMatrix.gram` must be n*I, its count of
+    sign solutions of H x = 0 at most 2^(n-k), and for each even-ell rank
+    partition the greedy construction finds, the central-binomial atom bound
+    must dominate that count (decided rationally); `PipelineReport` gives
+    the units.  `budget` caps the DP's (state, split) pairs;
+    `partition_sample` is accepted and ignored.
     """
     report = PipelineReport(k=k, n=n, odlyzko_count=1 << (n - k))
-    feasible = [
-        (r, ell)
-        for r in range(1, k + 1)
-        for ell in (2, 4, 6)
-        if r * ell <= n and feasibility_condition(k, n, r, ell)
-    ]
     attempted = [(r, ell) for r in range(1, k + 1) for ell in (2, 4, 6) if r * ell <= n]
-    report.feasible_pairs = tuple(feasible)
     report.attempted_pairs = tuple(attempted)
-    n_identity = tuple(tuple(n if i == j else 0 for j in range(k)) for i in range(k))
-    solution_memo = {}
-    for masks in iter_partial_hadamard(k, n, budget=budget, fix_first_row=fix_first_row):
-        report.matrices_checked += 1
-        # Exact Gram via popcount dot products: must be n on the diagonal,
-        # 0 off it, which pins gram_det to n^k.
-        for i in range(k):
-            for j in range(i, k):
-                dot = n - 2 * ((masks[i] ^ masks[j]).bit_count())
-                expected = n if i == j else 0
-                if dot != expected:
-                    report.gram_violations += 1
-        columns = tuple(
-            tuple(1 if (masks[i] >> j) & 1 else -1 for i in range(k)) for j in range(n)
-        )
-        memo_key = tuple(sorted(columns))
-        sols = solution_memo.get(memo_key)
-        if sols is None:
-            sols = count_sign_solutions_columns(list(columns), (0,) * k)
-            solution_memo[memo_key] = sols
+    report.feasible_pairs = tuple(p for p in attempted if feasibility_condition(k, n, *p))
+    states, _ = _census_states(k, n, budget, fix_first_row)
+    for classes, weight in states.items():
+        columns = [tuple(1 if h >> i & 1 else -1 for i in range(k))
+                   for t in range(max(c for _, c in classes)) for h, c in classes if t < c]
+        matrix = ExactMatrix.from_rows(zip(*columns))
+        report.matrices_checked += weight
+        gram = matrix.gram().entries
+        wrong = sum(gram[i][j] != (n if i == j else 0) for i in range(k) for j in range(i, k))
+        report.gram_violations += wrong * weight
+        report.exact_gram_violations += weight if wrong else 0
+        sols = count_sign_solutions_columns(columns, (0,) * k)
         report.max_solutions = max(report.max_solutions, sols)
         if sols > report.odlyzko_count:
-            report.odlyzko_violations += 1
-        if (report.matrices_checked - 1) % partition_sample == 0 and attempted:
-            matrix = masks_to_matrix(masks, n)
-            # Independent of the popcount formula the DFS itself uses.
-            if matrix.gram().entries != n_identity:
-                report.exact_gram_violations += 1
-            for r, ell in attempted:
-                partition = greedy_rank_partition(matrix, r, ell)
-                if partition is None:
-                    if (r, ell) in feasible:
-                        report.partition_failures += 1
-                    continue
-                # Cover the leftover columns so the partition bound applies
-                # to the full system.
-                blocks = deal_leftover_columns(partition.blocks, n)
-                ranks = [rank(matrix.column_submatrix(b)) for b in blocks]
-                report.halasz_checks += 1
-                ratio_bound = atom_bound_dominates(Fraction(sols, 1 << n), ranks, ell)
-                if not ratio_bound:
-                    report.halasz_violations += 1
-                bound_float = float(Fraction(comb(ell, ell // 2), 1 << ell)) ** (
-                    sum(ranks) / ell
-                ) * (1 << n)
-                if bound_float > 0:
-                    ratio = sols / bound_float
-                    report.min_halasz_ratio = min(report.min_halasz_ratio, ratio)
-                    report.max_halasz_ratio = max(report.max_halasz_ratio, ratio)
+            report.odlyzko_violations += weight
+        for r, ell in attempted:
+            partition = greedy_rank_partition(matrix, r, ell)
+            if partition is None:
+                if (r, ell) in report.feasible_pairs:
+                    report.partition_failures += 1
+                continue
+            # Cover the leftover columns so the partition bound applies
+            # to the full system.
+            blocks = deal_leftover_columns(partition.blocks, n)
+            ranks = [rank(matrix.column_submatrix(b)) for b in blocks]
+            report.halasz_checks += 1
+            if not atom_bound_dominates(Fraction(sols, 1 << n), ranks, ell):
+                report.halasz_violations += weight
+            atom = float(Fraction(comb(ell, ell // 2), 1 << ell))
+            bound_float = atom ** (sum(ranks) / ell) * (1 << n)
+            if bound_float > 0:
+                ratio = sols / bound_float
+                report.min_halasz_ratio = min(report.min_halasz_ratio, ratio)
+                report.max_halasz_ratio = max(report.max_halasz_ratio, ratio)
     if report.min_halasz_ratio is math.inf:
         report.min_halasz_ratio = 0.0
     return report

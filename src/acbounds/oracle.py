@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 
 from .distributions import LatticeDistribution, _conv_int
 from .exactmat import BudgetExceededError, ExactMatrix, rref_fraction
@@ -96,11 +96,11 @@ def levy_lower_bound(
     dist = LatticeDistribution(table.dimension, table.probs)
     best = dist.best_ball_mass(radius)
     if centers == "atoms+midpoints":
+        # One `ball_mass` pass per distinct doubled midpoint, not per pair.
         points = list(table.probs)
-        for i, p in enumerate(points):
-            for q in points[i + 1 :]:
-                midpoint = tuple((Fraction(a) + b) / 2 for a, b in zip(p, q))
-                best = max(best, dist.ball_mass(midpoint, radius))
+        doubled = {tuple(map(add, p, q)) for i, p in enumerate(points) for q in points[i + 1 :]}
+        for c in doubled:
+            best = max(best, dist.ball_mass(tuple(Fraction(x, 2) for x in c), radius))
     return best
 
 

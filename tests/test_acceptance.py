@@ -144,9 +144,11 @@ def test_criterion_06_census_regressions():
     }
     for name, (got, pinned) in counts.items():
         assert got == pinned, f"{name}: {got} != pinned {pinned}"
-    # per-matrix invariants over every census matrix (normalized
-    # representatives for the largest census; both checked properties are
-    # invariant under column negation)
+    # per-matrix invariants over every census matrix, checked once per
+    # class-DP state on one representative and weighted by the matrices the
+    # state stands for (first row fixed for the larger censuses; both checked
+    # properties are invariant under column negation).  partition_sample is
+    # ignored: every state gets its partition attempts.
     reports = [
         pipeline_bound_check(4, 4, fix_first_row=False, partition_sample=1),
         pipeline_bound_check(2, 8, fix_first_row=True, partition_sample=1),

@@ -110,9 +110,9 @@ def test_normal_constants_shape(capsys):
 
 
 def test_budget_exit_code(capsys):
-    for budget in ("100", "1000"):
+    for kind, budget in (("census", "100"), ("census", "1000"), ("verify", "100")):
         code, _, err = run_cli(
-            capsys, "hadamard", "census", "--k", "3", "--n", "12", "--budget", budget
+            capsys, "hadamard", kind, "--k", "3", "--n", "12", "--budget", budget
         )
         assert code == 3
         assert "Budget" in err or "budget" in err

@@ -7,11 +7,15 @@ from math import comb
 
 import pytest
 
+from acbounds.bounds import atom_bound_dominates
 from acbounds.exactmat import BudgetExceededError, ExactMatrix, gram_det, rank
 from acbounds.hadamard import (
     E_SQUARED_UPPER,
     E_FOURTH_UPPER,
+    PipelineReport,
+    _census_states,
     certify_rank_partition,
+    deal_leftover_columns,
     enumerate_partial_hadamard,
     feasibility_condition,
     greedy_rank_partition,
@@ -20,6 +24,7 @@ from acbounds.hadamard import (
     masks_to_matrix,
     pipeline_bound_check,
 )
+from acbounds.oracle import count_sign_solutions, count_sign_solutions_columns
 
 
 def test_census_base_cases():
@@ -180,6 +185,78 @@ def test_pipeline_h28_factored():
     assert report.matrices_checked == 70
     assert report.max_solutions <= 64
     assert report.halasz_checks > 0
+
+
+def _per_matrix_pipeline(k, n, fix_first_row):
+    """The pipeline's tallies taken matrix by matrix over the DFS census: a
+    popcount Gram check, a solution count and every partition attempt on
+    each matrix."""
+    ref = PipelineReport(k=k, n=n, odlyzko_count=1 << (n - k))
+    attempted = [(r, ell) for r in range(1, k + 1) for ell in (2, 4, 6) if r * ell <= n]
+    feasible = [(r, ell) for r, ell in attempted if feasibility_condition(k, n, r, ell)]
+    for masks in iter_partial_hadamard(k, n, fix_first_row=fix_first_row):
+        ref.matrices_checked += 1
+        wrong = sum(
+            n - 2 * (masks[i] ^ masks[j]).bit_count() != (n if i == j else 0)
+            for i in range(k)
+            for j in range(i, k)
+        )
+        ref.gram_violations += wrong
+        ref.exact_gram_violations += wrong > 0
+        matrix = masks_to_matrix(masks, n)
+        sols = count_sign_solutions(matrix)
+        ref.max_solutions = max(ref.max_solutions, sols)
+        ref.odlyzko_violations += sols > ref.odlyzko_count
+        for r, ell in attempted:
+            partition = greedy_rank_partition(matrix, r, ell)
+            if partition is None:
+                ref.partition_failures += (r, ell) in feasible
+                continue
+            ranks = [rank(matrix.column_submatrix(b))
+                     for b in deal_leftover_columns(partition.blocks, n)]
+            ref.halasz_violations += not atom_bound_dominates(Fraction(sols, 1 << n), ranks, ell)
+            bound = float(Fraction(comb(ell, ell // 2), 1 << ell)) ** (sum(ranks) / ell) * (1 << n)
+            ref.min_halasz_ratio = min(ref.min_halasz_ratio, sols / bound)
+            ref.max_halasz_ratio = max(ref.max_halasz_ratio, sols / bound)
+    return ref
+
+
+def test_pipeline_per_state_matches_per_matrix():
+    fields = (
+        "matrices_checked", "max_solutions", "odlyzko_count", "gram_violations",
+        "exact_gram_violations", "odlyzko_violations", "halasz_violations",
+        "partition_failures", "min_halasz_ratio", "max_halasz_ratio",
+    )
+    cases = [(1, 4, False), (2, 4, False), (3, 4, False), (4, 4, False), (2, 8, True), (3, 8, True)]
+    for k, n, fixed in cases:
+        got = pipeline_bound_check(k, n, fix_first_row=fixed)
+        ref = _per_matrix_pipeline(k, n, fixed)
+        for field in fields:
+            assert getattr(got, field) == getattr(ref, field), (k, n, fixed, field)
+    # partition_sample is accepted and ignored
+    assert pipeline_bound_check(3, 8, partition_sample=37) == pipeline_bound_check(3, 8)
+
+
+def test_pipeline_reaches_order_twelve_and_sixteen():
+    for k, n, matrices, max_solutions in (
+        (4, 12, 60_614_400, 64),
+        (3, 16, 63_063_000, 1810),
+        (4, 16, 114_144_030_000, 1296),
+    ):
+        report = pipeline_bound_check(k, n, fix_first_row=True)
+        assert report.ok()
+        assert report.matrices_checked == matrices
+        assert report.max_solutions == max_solutions
+    # One H_{4,12} state is a dead end: no fifth row extends it.
+    states, _ = _census_states(4, 12, 10**8, True)
+    counts = [
+        count_sign_solutions_columns(
+            [tuple(1 if h >> i & 1 else -1 for i in range(4)) for h, c in classes for _ in range(c)],
+            (0,) * 4,
+        )
+        for classes in states
+    ]
+    assert counts.count(0) == 1
 
 
 def test_exponent_assembly():

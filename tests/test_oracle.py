@@ -218,3 +218,31 @@ def test_levy_midpoint_policy_not_worse():
     base = levy_lower_bound(sys, 1)
     better = levy_lower_bound(sys, 1, centers="atoms+midpoints")
     assert better >= base
+
+
+def test_levy_midpoints_match_all_pairs_maximum():
+    # Deduplicated midpoints must give the maximum over every atom pair,
+    # here recomputed pair by pair with plain `Fraction` distances.
+    rng = random.Random(29)
+    for d in (1, 2, 3):
+        for _ in range(3):
+            vectors = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(2, 5))]
+            radius = Fraction(rng.randint(1, 6), 2)
+            probs = naive_atom_distribution(vectors)
+            points = list(probs)
+
+            def mass(center):
+                return sum(
+                    w
+                    for p, w in probs.items()
+                    if sum((x - c) ** 2 for x, c in zip(p, center)) <= radius**2
+                )
+
+            centers = points + [
+                tuple(Fraction(a + b, 2) for a, b in zip(p, q))
+                for i, p in enumerate(points)
+                for q in points[i + 1 :]
+            ]
+            expected = max(mass(c) for c in centers)
+            sys = VectorSystem.from_vectors(vectors)
+            assert levy_lower_bound(sys, radius, centers="atoms+midpoints") == expected
