@@ -98,9 +98,6 @@ class LatticeDistribution:
     def max_atom(self) -> Fraction:
         return Fraction(max(self.weights.values()), self.denom)
 
-    def support(self):
-        return sorted(self.weights)
-
     def reflect(self) -> "LatticeDistribution":
         return LatticeDistribution._from_weights(
             self.dimension,

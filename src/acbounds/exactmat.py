@@ -102,14 +102,6 @@ class ExactMatrix:
     def column_submatrix(self, cols) -> "ExactMatrix":
         return ExactMatrix.from_rows([tuple(r[j] for j in cols) for r in self.entries])
 
-    def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        bt = list(zip(*other.entries))
-        return ExactMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
-        )
-
     def gram(self) -> "ExactMatrix":
         """M * M^T, exactly."""
         return ExactMatrix.from_rows(

@@ -305,6 +305,8 @@ def pipeline_bound_check(
     the units.  `budget` caps the DP's (state, split) pairs;
     `partition_sample` is accepted and ignored.
     """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     report = PipelineReport(k=k, n=n, odlyzko_count=1 << (n - k))
     attempted = [(r, ell) for r in range(1, k + 1) for ell in (2, 4, 6) if r * ell <= n]
     report.attempted_pairs = tuple(attempted)

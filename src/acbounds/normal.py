@@ -5,7 +5,10 @@ A target matrix N fixes the constraint M M^T - M^T M = N.  Building M row and
 column at a time turns each step into a linear system T_k x_k = N'_k over the
 undetermined sign entries; everything about those systems here is exact.  The
 case-constant solver works in normalized coordinates (s, t scaled by n), where
-the exponent functions are homogeneous of degree two.
+the exponent functions are homogeneous of degree two.  Boundary cases have a
+closed-form restriction at each point and are scanned along their curve; the
+crossing cases are the least -g on a closed-form curve gap(s, t) = 0, scanned
+once in t, so no case needs a fixed-point loop.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import BudgetExceededError, ExactMatrix, NonconvergenceError, rank
+from .exactmat import BudgetExceededError, ExactMatrix, rank
 from .oracle import count_sign_solutions
 
 
@@ -108,9 +111,6 @@ class PartialMatrix:
         c = tuple(tuple(m.entries[i][:k]) for i in range(k, n))
         diag = tuple(m.entries[i][i] for i in range(k, n))
         return PartialMatrix(n, k, a, b, c, diag)
-
-    def key(self) -> tuple:
-        return (self.k, self.a, self.b, self.c, self.diag)
 
 
 def build_t_system(p: PartialMatrix, n_target: ExactMatrix):
@@ -247,20 +247,16 @@ def h_case_function(s: float, t: float, beta_small: float) -> float:
 
 
 def _pointwise_restriction(g_val, s, t, eps):
-    """The beta with min(g, f(beta - eps)) = -beta at a fixed point (s, t).
+    """The beta with min(g, f(beta - eps)) = -beta at a fixed point (s, t), t < 1.
 
-    If the g-branch binds the answer is -g (validated); otherwise it is the
-    unique root of f(beta - eps) = -beta, available in closed form.
+    Both g + beta and f(beta - eps) + beta increase in beta, so the root of
+    their minimum is the larger of their two roots: -g and the closed form
+    of f(beta - eps) = -beta.
     """
-    cand = -g_val
-    if _f(cand - eps, s, t) >= g_val - 1e-15:
-        return cand
-    if t >= 1:
-        return math.inf
-    return (s * s / 2 + 1 - s - (1 + eps) * t * t) / (1 - t * t)
+    return max(-g_val, (s * s / 2 + 1 - s - (1 + eps) * t * t) / (1 - t * t))
 
 
-# Grid spacing of the scans in s; it is also the lower end of the s range.
+# Grid spacing of the scans in s and t; it is also the lower end of the s range.
 GRID_STEP = 1e-4
 # Low-rank threshold gamma (rank <= gamma * m) recorded with the solved constants.
 GAMMA = 0.75
@@ -335,67 +331,75 @@ def _boundary_case(case_id, g_fn, t_of_s, s_lo, s_hi, eps):
     return CaseRestriction(case_id, v_best, s_best, t_of_s(s_best))
 
 
-def _crossing_case(case_id, which_g, s_lo, s_hi, eps, sharpen=0.0):
-    """Fixed point of: beta = min over the f = g crossing curve of -g + sharpen.
+def _crossing_case(case_id, g_fn, s_lo, s_hi, eps, sharpen=0.0):
+    """Least -h on the crossing {f(-h - eps) = h} over s in [s_lo, s_hi], h = g - sharpen.
 
-    The crossing t solves alpha t^2 - (2-s) t + q(s) = 0 (alpha = beta - eps);
-    points whose crossing leaves the feasible t-interval contribute nothing.
+    This is the fixed point beta = min_s -h(s, t_{beta-eps}(s)) of the
+    f = h crossing, because beta + h(s, t_{beta-eps}(s)) increases in beta.
+    Substituting beta = -h turns the crossing into gap(s, t) = 0, which is
+    quadratic in s at fixed t and increasing in t at fixed s.  One scan over
+    t in [1/2, 1] takes the least -h over the in-range roots s; the crossing's
+    points at the two ends of the s range, found by bisection in t, are the
+    other candidates, since a t-scan cannot stop exactly on them.
     """
 
-    def q_and_g(s):
-        if which_g == 1:
-            return 1 + s - 2.5 * s * s - sharpen, _g1
-        return 2 - 3 * s + 1.5 * s * s - sharpen, _g2
+    def h(s, t):
+        return g_fn(s, t) - sharpen
 
-    def t_bounds(s):
-        return max(s, 1 - s), 1 - s / 2
+    def gap(s, t):
+        return (t * t - 1) * h(s, t) + (1 + eps) * t * t - s * s / 2 + s - 1
 
-    def value(s, alpha):
-        q, g_fn = q_and_g(s)
-        disc = (2 - s) ** 2 - 4 * alpha * q
+    def feasible(s, t):
+        return s_lo <= s <= s_hi and max(s, 1 - s) <= t <= 1 - s / 2
+
+    def best_at(t):
+        # gap(., t) = a s^2 + b s + c, read off at s = 0 and s = +-1; the
+        # roots come from the cancellation-free form, and a may vanish.
+        c, up, down = gap(0.0, t), gap(1.0, t), gap(-1.0, t)
+        a, b = (up + down) / 2 - c, (up - down) / 2
+        disc = b * b - 4 * a * c
         if disc < 0:
-            return math.inf
-        t = ((2 - s) - math.sqrt(disc)) / (2 * alpha)
-        t_lo, t_hi = t_bounds(s)
-        if not t_lo - 1e-12 <= t <= t_hi + 1e-12:
-            return math.inf
-        return -g_fn(s, t) + sharpen
+            return math.inf, math.nan
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+        roots = ([c / q] if q else []) + ([q / a] if a else [])
+        return min(((-h(s, t), s) for s in roots if feasible(s, t)), default=(math.inf, math.nan))
 
-    beta = 0.35
-    s_best = t_best = math.nan
-    for _ in range(300):
-        alpha = beta - eps
-        s_best, v_best = _minimize_scalar(lambda s: value(s, alpha), s_lo, s_hi)
-        if v_best is math.inf or v_best == math.inf:
-            return CaseRestriction(case_id, math.inf, math.nan, math.nan)
-        if abs(v_best - beta) < 1e-13:
-            beta = v_best
-            break
-        beta = v_best
-    else:
-        raise NonconvergenceError(f"case {case_id} fixed point did not converge")
-    q, g_fn = q_and_g(s_best)
-    disc = (2 - s_best) ** 2 - 4 * (beta - eps) * q
-    t_best = ((2 - s_best) - math.sqrt(disc)) / (2 * (beta - eps)) if disc >= 0 else math.nan
-    return CaseRestriction(case_id, beta, s_best, t_best)
+    t_scan, v_scan = _minimize_scalar(lambda t: best_at(t)[0], 0.5, 1.0)
+    candidates = [(v_scan, best_at(t_scan)[1], t_scan)]
+    for s in (s_lo, s_hi):
+        lo, hi = max(s, 1 - s), 1 - s / 2
+        if lo <= hi and gap(s, lo) <= 0 <= gap(s, hi):
+            mid = (lo + hi) / 2
+            while lo < mid < hi:
+                lo, hi = (mid, hi) if gap(s, mid) <= 0 else (lo, mid)
+                mid = (lo + hi) / 2
+            candidates.append((-h(s, lo), s, lo))
+    beta, s, t = min(candidates, key=lambda c: c[0])
+    if beta == math.inf:
+        return CaseRestriction(case_id, math.inf, math.nan, math.nan)
+    return CaseRestriction(case_id, beta, s, t)
 
 
 def solve_case_constants(eps: float = 1e-6) -> CaseAnalysis:
     """Solve all six case restrictions on the normalized exponent system.
 
     Cases 1-4 sit on boundary curves of the feasible (s, t) region, where the
-    pointwise restriction has a closed form; cases 5 and 6 live on the
-    f = g2 / f = g1 crossing curves and are solved by fixed-point iteration
-    with a grid scan plus local refinement in s.
+    pointwise restriction has a closed form, and are scanned in s.  Cases 5
+    and 6 live on the f = g2 / f = g1 crossing curves; each is the least -g
+    on its crossing, written as gap(s, t) = 0 and scanned once in t (see
+    `_crossing_case`).  Each scan is a grid plus local refinement.  eps must
+    satisfy 0 <= eps < 1.
     """
+    if not 0 <= eps < 1:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
     lo = GRID_STEP
     cases = (
         _boundary_case(1, _g1, lambda s: 1 - s, lo, 0.5, eps),
         _boundary_case(2, _g1, lambda s: 1 - s / 2, lo, 0.5, eps),
         _boundary_case(3, _g2, lambda s: 1 - s / 2, 0.5, 2 / 3, eps),
         _boundary_case(4, _g2, lambda s: s, 0.5, 2 / 3, eps),
-        _crossing_case(5, 2, 0.5, 2 / 3, eps),
-        _crossing_case(6, 1, lo, 0.5, eps),
+        _crossing_case(5, _g2, 0.5, 2 / 3, eps),
+        _crossing_case(6, _g1, lo, 0.5, eps),
     )
     worst = min(c.beta for c in cases)
     return CaseAnalysis(cases, worst, 1 - worst, eps)
@@ -417,16 +421,16 @@ def improved_case_constants(beta_small: float, eps: float = 1e-6) -> ImprovedAna
 
     The crossing case is split at s = 1/10: below it the unsharpened curve
     applies (and restricts nothing at these scales), above it g1 is replaced
-    by g1 - beta_small^2/2, which shifts the fixed point up by a positive
-    margin.  Returns the margin, the new worst-case restriction, and the
-    resulting counting exponent.
+    by g1 - beta_small^2/2, which shifts the least -g on the crossing up by
+    a positive margin.  Returns the margin, the new worst-case restriction,
+    and the resulting counting exponent.
     """
-    if beta_small < 0 or beta_small > 2**-10:
+    if not 0 <= beta_small <= 2**-10:
         raise ValueError("beta_small must lie in [0, 2^-10]")
     baseline = solve_case_constants(eps=eps)
     sharpen = beta_small * beta_small / 2
-    case61 = _crossing_case(61, 1, GRID_STEP, 0.1, eps, sharpen=0.0)
-    case62 = _crossing_case(62, 1, 0.1, 0.5, eps, sharpen=sharpen)
+    case61 = _crossing_case(61, _g1, GRID_STEP, 0.1, eps)
+    case62 = _crossing_case(62, _g1, 0.1, 0.5, eps, sharpen=sharpen)
     others = [c.beta for c in baseline.restrictions if c.case_id != 6]
     new_worst = min(others + [case61.beta, case62.beta])
     delta = new_worst - baseline.worst_beta
@@ -523,31 +527,20 @@ def partial_census(n: int, n_target: ExactMatrix, budget: int = 1 << 26) -> Part
     for k in range(1, n):
         partials = {}
         for m in normals:
-            p = PartialMatrix.from_full(m, k)
-            partials.setdefault(p.key(), []).append(m)
+            partials.setdefault(PartialMatrix.from_full(m, k), []).append(m)
         partial_counts[k] = len(partials)
-        for _, members in partials.items():
-            p = PartialMatrix.from_full(members[0], k)
+        for p, members in partials.items():
             t_k, nprime = build_t_system(p, n_target)
             free = 2 * (n - k - 1)
-            t_rank = rank(t_k) if free > 0 else 0
-            allowed = 1 << max(free - t_rank, 0)
+            allowed = 1 << (free - rank(t_k))
             extensions = set()
             for m in members:
                 x = step_vector(m, k)
                 extensions.add(x)
-                if free > 0:
-                    lhs = tuple(
-                        sum(t_k.entries[i][j] * x[j] for j in range(free)) for i in range(k)
-                    )
-                else:
-                    lhs = (0,) * k
+                lhs = tuple(sum(t_k.entries[i][j] * x[j] for j in range(free)) for i in range(k))
                 if lhs != nprime:
                     roundtrip_ok = False
-            if free > 0:
-                solutions = count_sign_solutions(t_k, nprime)
-            else:
-                solutions = 1 if all(v == 0 for v in nprime) else 0
+            solutions = count_sign_solutions(t_k, nprime)
             if len(extensions) > solutions or solutions > allowed:
                 extension_ok = False
     return PartialCensus(n, len(normals), partial_counts, roundtrip_ok, extension_ok)

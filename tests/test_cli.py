@@ -109,6 +109,22 @@ def test_normal_constants_shape(capsys):
     assert body["improved"]["delta"] > 0
 
 
+def test_normal_constants_reject_bad_eps(capsys):
+    for eps in ("nan", "-0.5", "5"):
+        code, out, err = run_cli(capsys, "normal", "constants", f"--eps={eps}")
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "ValueError"
+
+
+def test_hadamard_verify_names_a_bad_shape(capsys):
+    code, out, err = run_cli(capsys, "hadamard", "verify", "--k", "5", "--n", "4")
+    assert code == 2 and out == ""
+    assert "need 1 <= k <= n, got k=5, n=4" in json.loads(err)["error"]
+    # a census of that shape is well defined and empty
+    code, out, _ = run_cli(capsys, "hadamard", "census", "--k", "5", "--n", "4")
+    assert code == 0 and json.loads(out)["count"] == "0"
+
+
 def test_budget_exit_code(capsys):
     for kind, budget in (("census", "100"), ("census", "1000"), ("verify", "100")):
         code, _, err = run_cli(

@@ -237,6 +237,12 @@ def test_pipeline_per_state_matches_per_matrix():
     assert pipeline_bound_check(3, 8, partition_sample=37) == pipeline_bound_check(3, 8)
 
 
+def test_pipeline_rejects_shapes_outside_one_to_n():
+    for k, n in ((5, 4), (0, 4)):
+        with pytest.raises(ValueError, match=f"k={k}, n={n}"):
+            pipeline_bound_check(k, n)
+
+
 def test_pipeline_reaches_order_twelve_and_sixteen():
     for k, n, matrices, max_solutions in (
         (4, 12, 60_614_400, 64),

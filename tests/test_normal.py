@@ -1,5 +1,6 @@
 """Commutator machinery, step systems, rank profiles, case constants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -213,6 +214,95 @@ def test_case_constants_runtime_budget():
     start = time.monotonic()
     solve_case_constants()
     assert time.monotonic() - start < 10
+
+
+# Case betas the solver must reproduce within 1e-12; the crossing cases come
+# from the fixed-point iteration that the closed-form crossing scan replaced.
+PINNED_BETAS = {
+    1e-6: {1: 0.4999983544485777, 4: 0.32386562124293267, 5: 0.307211817804929,
+           6: 0.30296063189773204},
+    # case 5's minimum sits at the end s = 1/2 of its s range
+    1e-4: {5: 0.30720532331282047},
+}
+# (case, g index in case_functions, s range, sharpen) of the crossing cases
+# checked at beta_small = 2^-10.
+CROSSINGS = ((5, 2, (0.5, 2 / 3), 0.0), (6, 1, (1e-4, 0.5), 0.0),
+             (62, 1, (0.1, 0.5), 2.0**-21))
+
+
+def _crossing_restrictions(eps=1e-6):
+    improved = improved_case_constants(2**-10, eps=eps)
+    found = {c.case_id: c for c in improved.baseline.restrictions}
+    found[61], found[62] = improved.case_small_s, improved.case_sharpened
+    return found
+
+
+def _crossing_gap(s, t, eps, which, sharpen):
+    """f(-h - eps) - h at (s, t), h = g - sharpen, from case_functions alone."""
+    h = case_functions(s, t, 0.0)[which] - sharpen
+    return case_functions(s, t, -h - eps)[0] - h, h
+
+
+def test_case_constants_match_pinned_values():
+    for eps, pins in PINNED_BETAS.items():
+        betas = {c.case_id: c.beta for c in solve_case_constants(eps).restrictions}
+        for case_id, beta in pins.items():
+            assert abs(betas[case_id] - beta) <= 1e-12, (eps, case_id)
+    found = _crossing_restrictions()
+    assert abs(found[62].beta - 0.30296107672347694) <= 1e-12
+    # below s = 1/10 the crossing leaves the feasible t range everywhere
+    assert found[61].beta == math.inf
+
+
+@pytest.mark.parametrize("eps", sorted(PINNED_BETAS))
+def test_crossing_restrictions_lie_on_their_crossing(eps):
+    found = _crossing_restrictions(eps)
+    for case_id, which, (s_lo, s_hi), sharpen in CROSSINGS:
+        c = found[case_id]
+        assert s_lo <= c.s <= s_hi
+        assert max(c.s, 1 - c.s) <= c.t <= 1 - c.s / 2
+        h = case_functions(c.s, c.t, 0.0)[which] - sharpen
+        assert abs(case_functions(c.s, c.t, c.beta - eps)[0] - h) <= 1e-12
+        assert abs(h + c.beta) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", sorted(PINNED_BETAS))
+def test_crossing_restrictions_are_least_on_sampled_crossings(eps):
+    # Sample s over each range, bracket the crossing in t by sign changes of
+    # f(-h - eps) - h on a t grid, bisect, and compare -h with beta.
+    found = _crossing_restrictions(eps)
+    for case_id, which, (s_lo, s_hi), sharpen in CROSSINGS:
+        beta = found[case_id].beta
+        sampled = []
+        for i in range(201):
+            s = s_lo + (s_hi - s_lo) * i / 200
+            t_lo, t_hi = max(s, 1 - s), 1 - s / 2
+            grid = [t_lo + (t_hi - t_lo) * j / 40 for j in range(41)]
+            for lo, hi in zip(grid, grid[1:]):
+                hi_positive = _crossing_gap(s, hi, eps, which, sharpen)[0] > 0
+                if (_crossing_gap(s, lo, eps, which, sharpen)[0] > 0) == hi_positive:
+                    continue
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    if (_crossing_gap(s, mid, eps, which, sharpen)[0] > 0) == hi_positive:
+                        hi = mid
+                    else:
+                        lo = mid
+                sampled.append(-_crossing_gap(s, lo, eps, which, sharpen)[1])
+        assert sampled, case_id
+        assert beta <= min(sampled) + 1e-12, case_id
+        assert min(sampled) - beta < 1e-4, case_id
+
+
+def test_case_constants_reject_bad_inputs():
+    for eps in (math.nan, math.inf, -0.5, 1.0, 5.0):
+        with pytest.raises(ValueError):
+            solve_case_constants(eps)
+        with pytest.raises(ValueError):
+            improved_case_constants(2**-10, eps=eps)
+    for beta_small in (math.nan, -1e-9, 2**-9):
+        with pytest.raises(ValueError):
+            improved_case_constants(beta_small)
 
 
 def test_improved_constants_zero_is_identity():
