@@ -9,7 +9,7 @@ parameter C (default 1); nothing here invents a numeric value for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -234,19 +234,20 @@ def halasz_sbp_bound(system: VectorSystem, params: BoundParams) -> float:
     """Small-ball bound from block Hilbert-Schmidt norms and stable ranks.
 
     2^d * prod over blocks of (C M / (sqrt(eps ell) ||A_i||_HS)) raised to
-    ceil((1-eps) r_s(A_i)) / ell.  Requires an even number of blocks.
+    ceil((1-eps) r_s(A_i)) / ell.  Requires an even number of blocks; this is
+    `sbp_general_bound` at the constant tuple (ell, ..., ell) with lambda = 1
+    and the 2^d prefactor.
     """
     ell = system.ell
     if ell % 2 != 0 or ell < 2:
         raise ValueError("number of blocks must be even and >= 2")
-    value = float(2**system.dimension)
-    for i in range(ell):
-        block = system.block_matrix(i)
-        report = stable_rank(block)
-        hs = math.sqrt(float(report.hs_norm_sq))
-        exponent = math.ceil((1 - params.eps) * report.stable_rank) / ell
-        value *= (params.C * params.M / (math.sqrt(params.eps * ell) * hs)) ** exponent
-    return value
+    return sbp_general_bound(
+        system,
+        replace(params, lam=1.0),
+        divisor=2,
+        tuples=[(ell,) * ell],
+        include_2d_prefactor=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,6 @@ def atom_general_bound(
     lam: float,
     C: float = 1.0,
     divisor: int = 4,
-    tuple_cap: int = 100000,
     use_tuple_denominator: bool = False,
 ) -> float:
     """Atom bound for independent (not necessarily Rademacher) coefficients.
@@ -337,7 +337,7 @@ def atom_general_bound(
         raise ValueError("lambda must lie in (0, 1]")
     if C <= 0:
         raise ValueError("C must be positive")
-    tuples = enumerate_reciprocal_tuples(system.ell, divisor=divisor, cap=tuple_cap)
+    tuples = enumerate_reciprocal_tuples(system.ell, divisor=divisor)
     if not tuples:
         raise ValueError(f"no reciprocal tuples of length {system.ell} with divisor {divisor}")
     ranks = system.block_ranks()
@@ -360,7 +360,6 @@ def sbp_general_bound(
     system: VectorSystem,
     params: BoundParams,
     divisor: int = 4,
-    tuple_cap: int = 100000,
     include_2d_prefactor: bool = False,
     tuples=None,
 ) -> float:
@@ -372,7 +371,7 @@ def sbp_general_bound(
     and can be switched on to match the fixed-tuple form; see README.
     """
     if tuples is None:
-        tuples = enumerate_reciprocal_tuples(system.ell, divisor=divisor, cap=tuple_cap)
+        tuples = enumerate_reciprocal_tuples(system.ell, divisor=divisor)
     else:
         tuples = [
             t if isinstance(t, ReciprocalTuple) else ReciprocalTuple(tuple(sorted(t)), divisor)

@@ -221,7 +221,6 @@ def _cmd_hadamard(args) -> int:
             args.n,
             budget=args.budget,
             fix_first_row=args.fix_first_row,
-            workers=args.workers,
         )
         _emit(result.to_json(), args.format)
         return EXIT_OK
@@ -231,7 +230,6 @@ def _cmd_hadamard(args) -> int:
             args.n,
             budget=args.budget,
             fix_first_row=args.fix_first_row,
-            partition_sample=args.sample,
         )
         _emit(report.to_json(), args.format)
         return EXIT_OK if report.ok() else EXIT_VERIFICATION
@@ -320,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Anti-concentration bounds, exact oracles, and sign-matrix censuses",
     )
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility and ignored: every "
-                             "computation runs serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate a closed-form bound")
@@ -382,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_had.add_argument("--budget", type=int, default=10**8,
                        help="census and verify: cap on the class-DP splits examined")
     p_had.add_argument("--fix-first-row", action="store_true")
-    p_had.add_argument("--sample", type=int, default=1,
-                       help="accepted for compatibility and ignored: verify checks "
-                            "one matrix per class-DP state")
     p_had.add_argument("--c1", type=float, default=0.1)
     p_had.add_argument("--c2", type=float, default=0.2)
     p_had.add_argument("--C", type=float, default=0.0)

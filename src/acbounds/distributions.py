@@ -3,9 +3,10 @@
 Distributions are finite rational measures on Z^d, stored as integer weights
 over one common denominator.  Convolution, reflection (symmetrization) and
 convolution powers run on those integers; `Fraction` masses appear only at
-the boundary (the constructor, `atoms` and the mass queries).  A replication
-claim  lhs <= prod m_i^(1/a_i)  is settled by raising both sides to the lcm
-of the a_i, which keeps the comparison exact.
+the boundary (the constructor, `atoms` and the mass queries).  Both
+variants of a replication claim  lhs <= prod m_i^(1/a_i)  take each factor
+m_i from one half power p_i^{*a_i/2}, and the claim is settled by raising
+both sides to the lcm of the a_i, which keeps the comparison exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 
-from .bounds import _nudge_up
+from .bounds import ReciprocalTuple, _nudge_up
 
 
 class LatticeDistribution:
@@ -111,11 +112,14 @@ class LatticeDistribution:
 
     def ball_mass(self, center, radius) -> Fraction:
         """Exact mass of the closed Euclidean ball of the given radius."""
+        radius = Fraction(radius)
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
         center = tuple(Fraction(c) for c in center)
         # Scale by the centers' common denominator so distances stay integral.
         scale = math.lcm(*(c.denominator for c in center))
         scaled = tuple(int(c * scale) for c in center)
-        bound = math.floor((Fraction(radius) * scale) ** 2)
+        bound = math.floor((radius * scale) ** 2)
         total = sum(
             w
             for p, w in self.weights.items()
@@ -188,18 +192,6 @@ def self_convolve(p: LatticeDistribution, m: int) -> LatticeDistribution:
     return LatticeDistribution._from_weights(p.dimension, result, result_denom)
 
 
-def _validate_tuple(dists, tup, divisor):
-    if len(tup) != len(dists):
-        raise ValueError("tuple length must equal the number of distributions")
-    total = Fraction(0)
-    for a in tup:
-        if a % divisor != 0 or a <= 0:
-            raise ValueError(f"tuple entries must be positive multiples of {divisor}")
-        total += Fraction(1, a)
-    if total != 1:
-        raise ValueError("tuple reciprocals must sum to 1 exactly")
-
-
 def _geometric_mean_upper(masses, tup) -> float:
     """Float upper bound on prod masses[i]^(1/tup[i]) (upward-rounded)."""
     value = 1.0
@@ -222,13 +214,16 @@ def _compare_with_product(lhs: Fraction, masses, tup) -> int:
 def _replication(dists, tup, variant, point=None, delta=None, center=None):
     """Shared core of the two replication checks.
 
-    Validates the inputs, convolves all of `dists`, and replicates each
-    factor: variant "symmetrized" takes the (a_i/2)-fold power of the
-    symmetrized summand, "origin-symmetric" the a_i-fold power of the summand
-    itself.  With `point` it compares point masses (the mass at `point` of
-    the total against the masses at 0 of the factors); with `delta` and
-    `center` it compares ball masses.  Returns (lhs, rhs, order): order is the
-    exact sign of lhs against the right side, rhs its upward-rounded float.
+    Validates the inputs and convolves all of `dists`.  Each factor comes from
+    the half power q = p^{*a_i/2}: the "symmetrized" factor
+    (p * reflect p)^{*a_i/2} and, for an origin-symmetric p, the
+    "origin-symmetric" factor p^{*a_i} both equal symmetrize(q), so the
+    variant only fixes the tuple divisor (4 or 2) and whether the inputs must
+    be origin-symmetric.  With `point` it compares point masses: the mass at
+    `point` of the total against the masses at 0 of the factors, each read
+    off q as sum_u q(u)^2.  With `delta` and `center` it compares ball
+    masses.  Returns (lhs, rhs, order): order is the exact sign of lhs
+    against the right side, rhs its upward-rounded float.
     """
     if variant == "symmetrized":
         divisor = 4
@@ -242,23 +237,22 @@ def _replication(dists, tup, variant, point=None, delta=None, center=None):
     d = dists[0].dimension
     if any(p.dimension != d for p in dists):
         raise ValueError("dimension mismatch")
-    _validate_tuple(dists, tup, divisor)
-    if variant == "origin-symmetric" and not all(p.is_origin_symmetric() for p in dists):
+    if len(tup) != len(dists):
+        raise ValueError("tuple length must equal the number of distributions")
+    ReciprocalTuple(tuple(sorted(tup)), divisor)
+    if divisor == 2 and not all(p.is_origin_symmetric() for p in dists):
         raise ValueError("origin-symmetric variant needs origin-symmetric inputs")
 
     total = reduce(convolve, dists)
-    if variant == "symmetrized":
-        reps = [self_convolve(symmetrize(p), a // 2) for p, a in zip(dists, tup)]
-    else:
-        reps = [self_convolve(p, a) for p, a in zip(dists, tup)]
+    halves = [self_convolve(p, a // 2) for p, a in zip(dists, tup)]
     if delta is None:
         lhs = total.mass_at(point)
-        masses = [rep.mass_at((0,) * d) for rep in reps]
+        masses = [Fraction(sum(w * w for w in q.weights.values()), q.denom**2) for q in halves]
         prefactor = 1
     else:
         lhs = total.ball_mass(center, delta)
         big_radius = 4 * Fraction(delta)
-        masses = [rep.best_ball_mass(big_radius) for rep in reps]
+        masses = [symmetrize(q).best_ball_mass(big_radius) for q in halves]
         prefactor = 1 << d
     rhs = prefactor * _geometric_mean_upper(masses, tup)
     return lhs, rhs, _compare_with_product(lhs / prefactor, masses, tup)

@@ -6,7 +6,8 @@ systems, and lattice-point counts of subspaces are all computed exactly
 package can be tested against a certified oracle value.  Atom tables fold
 the integer convolution kernel of `distributions` over the vectors; solution
 counts for a single target fold each half of the columns the same way and
-join the halves.
+join the halves, and so do subspace sign-vector counts, on the halves of a
+reduced basis.
 """
 
 from __future__ import annotations
@@ -143,10 +144,13 @@ def combinatorial_dimension(
     """Count the sign vectors inside the row space of `spanning`.
 
     Pivot method: reduce the spanning rows to a basis in reduced echelon
-    form; a vector of the space is determined by its values on the pivot
-    coordinates, so the 2^rank sign assignments of the pivots enumerate
-    every candidate, each extended uniquely and tested for membership in
-    {+-1}^n.  Returns (count, log2(count)); the log is None when count = 0.
+    form, scaled to integers by the common denominator `denom`.  A vector of
+    the space is z.basis for z its values on the pivot coordinates, so a sign
+    vector has z in {+-1}^rank, and then its pivot coordinates are +-denom.
+    Each half of the basis rows, restricted to the free coordinates, is
+    folded with `_sign_sum_counts`, and the pairs of half sums that add up to
+    +-denom in every free coordinate are counted.  Returns
+    (count, log2(count)); the log is None when count = 0.
     """
     basis, pivots = rref_fraction(spanning.entries)
     r = len(basis)
@@ -154,26 +158,17 @@ def combinatorial_dimension(
         raise BudgetExceededError(f"rank {r} exceeds enumeration cap {cap}")
     if r == 0:
         return 0, None
-    n = spanning.cols
-    denom = 1
-    for row in basis:
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    # Integerized basis: candidate sums must hit +-denom in every coordinate.
-    int_basis = [[int(x * denom) for x in row] for row in basis]
-    signs = [1] * r
-    cur = [sum(int_basis[i][j] for i in range(r)) for j in range(n)]
-    count = 0
-    if all(v == denom or v == -denom for v in cur):
-        count += 1
-    for g in range(1, 1 << r):
-        i = (g & -g).bit_length() - 1
-        signs[i] = -signs[i]
-        bi = int_basis[i]
-        flip = 2 * signs[i]
-        for j in range(n):
-            cur[j] += flip * bi[j]
-        if all(v == denom or v == -denom for v in cur):
-            count += 1
+    denom = math.lcm(*(x.denominator for row in basis for x in row))
+    free = [j for j in range(spanning.cols) if j not in pivots]
+    rows = [[int(row[j] * denom) for j in free] for row in basis]
+    half = (r + 1) // 2
+    left = _sign_sum_counts(rows[:half], len(free))
+    right = _sign_sum_counts(rows[half:], len(free))
+    count = sum(
+        cl * cr
+        for pl, cl in left.items()
+        for pr, cr in right.items()
+        if all(abs(a + b) == denom for a, b in zip(pl, pr))
+    )
     d_pm = math.log2(count) if count > 0 else None
     return count, d_pm

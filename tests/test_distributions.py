@@ -161,6 +161,17 @@ def test_ball_mass_integer_and_fractional_centers_agree():
     assert p.ball_mass((Fraction(1, 2),), Fraction(3, 2)) == Fraction(3, 4)
 
 
+def test_negative_radius_rejected():
+    for radius in (-1, Fraction(-1, 2), -0.25):
+        with pytest.raises(ValueError):
+            TWO_COINS.ball_mass((0,), radius)
+        with pytest.raises(ValueError):
+            TWO_COINS.best_ball_mass(radius)
+    with pytest.raises(ValueError):
+        replication_sbp_check([RADEMACHER] * 4, (4, 4, 4, 4), -1, (0,))
+    assert TWO_COINS.ball_mass((0,), 0) == Fraction(1, 2)
+
+
 def test_json_round_trip():
     p = LatticeDistribution(2, {(0, 1): Fraction(1, 3), (-1, 2): Fraction(2, 3)})
     assert LatticeDistribution.from_json(p.to_json()) == p

@@ -2,7 +2,8 @@
 
 Atom tables (a fold of two-point convolutions) are compared with a naive
 2^n enumeration and with the meet-in-the-middle solution counter;
-`LatticeDistribution` operations are checked against their algebraic laws.
+`LatticeDistribution` operations are checked against their algebraic laws,
+and the replication checks against the full-power factors they replace.
 """
 
 import random
@@ -12,7 +13,16 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acbounds.distributions import LatticeDistribution, convolve, self_convolve, symmetrize
+from acbounds.distributions import (
+    LatticeDistribution,
+    _compare_with_product,
+    _geometric_mean_upper,
+    convolve,
+    replication_atom_check,
+    replication_sbp_check,
+    self_convolve,
+    symmetrize,
+)
 from acbounds.oracle import atom_distribution, count_sign_solutions_columns
 from acbounds.sweeps import random_lattice_distribution
 from acbounds.system import VectorSystem
@@ -138,3 +148,58 @@ def test_generated_weights_match_the_fraction_constructor(seed, d, symmetric):
     # constructor, which must reduce them to the same fields as the public one.
     p = random_lattice_distribution(random.Random(seed), d, origin_symmetric=symmetric)
     assert LatticeDistribution(d, p.atoms) == p
+
+
+# Reference replication factors: the (a/2)-fold power of the symmetrized
+# summand, or the a-fold power of an origin-symmetric summand.
+def full_power_factor(p, a, variant):
+    if variant == "symmetrized":
+        return self_convolve(symmetrize(p), a // 2)
+    return self_convolve(p, a)
+
+
+def reference_check(tup, lhs, masses, prefactor=1):
+    rhs = prefactor * _geometric_mean_upper(masses, tup)
+    return lhs, rhs, _compare_with_product(lhs / prefactor, masses, tup) <= 0
+
+
+REPLICATION_CASES = [
+    ("symmetrized", (4, 4, 4, 4)),
+    ("origin-symmetric", (2, 2)),
+    ("origin-symmetric", (2, 4, 4)),
+]
+
+
+@SETTINGS
+@given(
+    distribution_tuples(4),
+    st.sampled_from(REPLICATION_CASES),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3, 2)]),
+)
+def test_replication_matches_the_full_power_formulas(four, case, delta):
+    variant, tup = case
+    dists = list(four[: len(tup)])
+    if variant == "origin-symmetric":
+        dists = [symmetrize(p) for p in dists]
+    d = dists[0].dimension
+    olds = [full_power_factor(p, a, variant) for p, a in zip(dists, tup)]
+    for p, a, old in zip(dists, tup, olds):
+        half = self_convolve(p, a // 2)
+        assert symmetrize(half) == old
+        # The point factor: the mass at 0 of symmetrize(half) is sum_u half(u)^2.
+        squares = sum(w * w for w in half.weights.values())
+        assert Fraction(squares, half.denom**2) == old.mass_at((0,) * d)
+    total = dists[0]
+    for p in dists[1:]:
+        total = convolve(total, p)
+    for v in ((0,) * d, (1,) * d):
+        expected = reference_check(tup, total.mass_at(v), [old.mass_at((0,) * d) for old in olds])
+        assert replication_atom_check(dists, tup, v, variant=variant) == expected
+    center = (Fraction(1, 2),) * d
+    expected = reference_check(
+        tup,
+        total.ball_mass(center, delta),
+        [old.best_ball_mass(4 * delta) for old in olds],
+        prefactor=1 << d,
+    )
+    assert replication_sbp_check(dists, tup, delta, center, variant=variant) == expected

@@ -174,6 +174,16 @@ def test_combinatorial_dimension_never_exceeds_rank_bound():
         assert count <= 1 << rank(m)
 
 
+def _naive_sign_vectors_in_row_space(m):
+    """Sign vectors in the row space of m, each tested by rank comparison."""
+    brute = 0
+    for x in product((1, -1), repeat=m.cols):
+        stacked = ExactMatrix.from_rows(list(m.entries) + [list(x)])
+        if rank(stacked) == rank(m):
+            brute += 1
+    return brute
+
+
 def test_combinatorial_dimension_matches_naive_on_small_spaces():
     rng = random.Random(71)
     for _ in range(20):
@@ -183,13 +193,19 @@ def test_combinatorial_dimension_matches_naive_on_small_spaces():
             [[rng.randint(-1, 1) for _ in range(n)] for _ in range(r)]
         )
         count, _ = combinatorial_dimension(m)
-        # naive: solve membership for every sign vector by rank comparison
-        brute = 0
-        for x in product((1, -1), repeat=n):
-            stacked = ExactMatrix.from_rows(list(m.entries) + [list(x)])
-            if rank(stacked) == rank(m):
-                brute += 1
-        assert count == brute
+        assert count == _naive_sign_vectors_in_row_space(m)
+    # Rank 4-6 (odd ranks and full rank r = n included): sign rows, so the
+    # count is at least 2, mixed with rows in [-3, 3], so the reduced basis
+    # has non-unit denominators.
+    for r, n in ((4, 4), (4, 6), (4, 8), (5, 5), (5, 6), (5, 7), (5, 8), (6, 6), (6, 7), (6, 8)):
+        sign_rows = rng.randint(1, r - 1)
+        m = ExactMatrix.from_rows(
+            [[rng.choice((1, -1)) for _ in range(n)] for _ in range(sign_rows)]
+            + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r - sign_rows)]
+        )
+        count, _ = combinatorial_dimension(m)
+        assert count >= 2
+        assert count == _naive_sign_vectors_in_row_space(m)
 
 
 def test_levy_radius_zero_equals_atom_max():
@@ -211,6 +227,13 @@ def test_levy_covers_support_at_small_radius():
 def test_levy_huge_radius():
     sys = VectorSystem.from_vectors([(3, 1), (1, -2), (0, 5)])
     assert levy_lower_bound(sys, 100) == 1
+
+
+def test_levy_negative_radius_rejected():
+    sys = VectorSystem.from_vectors([(1,), (1,)])
+    for centers in ("atoms", "atoms+midpoints"):
+        with pytest.raises(ValueError):
+            levy_lower_bound(sys, -1, centers=centers)
 
 
 def test_levy_midpoint_policy_not_worse():
