@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
 from math import comb
 
 from .exactmat import BudgetExceededError, ExactMatrix, NonconvergenceError
@@ -307,10 +306,28 @@ def enumerate_reciprocal_tuples(ell: int, divisor: int = 4, cap: int = 100000):
     return results
 
 
+def _distinct_permutations(values):
+    """Each distinct ordering of a multiset once, in lexicographic order."""
+    items = sorted(values)
+    n = len(items)
+    while True:
+        yield tuple(items)
+        i = n - 2
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1 :] = reversed(items[i + 1 :])
+
+
 def _assignments(ranks, tup_values):
     """Distinct pairings of tuple entries to blocks, for small block counts."""
     if len(tup_values) <= 8:
-        return set(permutations(tup_values))
+        return set(_distinct_permutations(tup_values))
     # Greedy: largest rank gets the smallest entry (maximizes the exponent
     # weight on the most anti-concentrated block).
     order = sorted(range(len(ranks)), key=lambda i: -ranks[i])

@@ -3,11 +3,21 @@
 Atom distributions of signed vector sums, sign-solution counts of linear
 systems, and lattice-point counts of subspaces are all computed exactly
 (rational masses, integer counts) so that every closed-form bound in the
-package can be tested against a certified oracle value.  Atom tables fold
-the integer convolution kernel of `distributions` over the vectors; solution
-counts for a single target fold each half of the columns the same way and
-join the halves, and so do subspace sign-vector counts, on the halves of a
-reduced basis.
+package can be tested against a certified oracle value.
+
+All three fold the vectors on packed integer keys: a point u in Z^d is the
+signed-digit integer sum(u_i B^i), so adding a vector is one int addition
+and each vector turns a table of counts into the sum of its two shifts by
++-v (a zero vector doubles every count).  Distinct points pack to distinct
+keys when every coordinate of their difference is below B in absolute value,
+so B is odd and above twice the largest reachable |coordinate|:
+B = 2 S + 1 with S the largest column sum S_i = sum_j |v_j[i]|.  Keys are
+decoded to tuples once, at the end.  Atom tables fold all vectors and share
+one `Fraction` per distinct count; solution counts fold each half of the
+columns and join the halves on packed keys, after ruling out targets with
+some |b_i| > S_i (then |b_i - u_i - w_i| <= 2 S_i for every pair of half
+sums u, w, so the join cannot alias); subspace sign-vector counts join the
+decoded halves of a reduced basis.
 """
 
 from __future__ import annotations
@@ -15,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
-from .distributions import LatticeDistribution, _conv_int
+from .distributions import LatticeDistribution
 from .exactmat import BudgetExceededError, ExactMatrix, rref_fraction
 from .system import VectorSystem
 
@@ -26,19 +36,57 @@ SOLUTION_CAP_DEFAULT = 40
 COMBDIM_RANK_CAP_DEFAULT = 20
 
 
+def _column_sums(vectors, d: int) -> list:
+    """S_i = sum_j |v_j[i]|: every signed sum lies in the box [-S_i, S_i]."""
+    return [sum(abs(v[i]) for v in vectors) for i in range(d)]
+
+
+def _pack(u, base: int) -> int:
+    """The signed-digit key sum(u_i base^i) of a lattice point."""
+    key = 0
+    for x in reversed(u):
+        key = key * base + x
+    return key
+
+
+def _packed_sign_sums(vectors, base: int) -> dict:
+    """Packed key of u -> number of sign vectors with sum(eps_i v_i) = u.
+
+    `base` must be odd and above twice every |coordinate| reached.
+    """
+    counts = {0: 1}
+    for v in vectors:
+        s = _pack(v, base)
+        out = {k + s: c for k, c in counts.items()}
+        get = out.get
+        for k, c in counts.items():
+            k -= s
+            out[k] = get(k, 0) + c
+        counts = out
+    return counts
+
+
+def _unpack_counts(packed: dict, base: int, d: int) -> dict:
+    """Decode packed keys to d-tuples, one digit of every key at a time."""
+    half = base // 2
+    # Offset by the packed (half, ..., half): the digits become 0..base-1.
+    offset = _pack((half,) * d, base)
+    keys = [k + offset for k in packed]
+    digits = []
+    for _ in range(d):
+        digits.append([k % base - half for k in keys])
+        keys = [k // base for k in keys]
+    points = zip(*digits) if d else [()] * len(keys)
+    return dict(zip(points, packed.values()))
+
+
 def _sign_sum_counts(vectors, d: int) -> dict:
     """Lattice point u -> number of sign vectors with sum(eps_i v_i) = u.
 
-    Integer fold: the table is convolved with each vector's two-point weights
-    {v: 1, -v: 1} ({0: 2} for a zero vector), so its size is that of the sum
-    lattice, not 2^len(vectors).
+    The table's size is that of the sum lattice, not 2^len(vectors).
     """
-    counts = {(0,) * d: 1}
-    for v in vectors:
-        v = tuple(v)
-        neg = tuple(-x for x in v)
-        counts = _conv_int(counts, {v: 1, neg: 1} if v != neg else {v: 2})
-    return counts
+    base = 2 * max(_column_sums(vectors, d), default=0) + 1
+    return _unpack_counts(_packed_sign_sums(vectors, base), base, d)
 
 
 @dataclass(frozen=True)
@@ -56,8 +104,8 @@ class AtomTable:
 def atom_distribution(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> AtomTable:
     """Exact distribution of sum(eps_i a_i) over independent Rademacher signs.
 
-    The sign-vector counts of the integer fold must total 2^n and become
-    `Fraction` masses once, at the end.
+    The sign-vector counts of the integer fold must total 2^n; each distinct
+    count becomes one `Fraction` mass, shared by the atoms that have it.
     """
     n = system.n
     if n > cap:
@@ -68,7 +116,8 @@ def atom_distribution(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> Atom
     total = sum(counts.values())
     if total != denom:
         raise AssertionError("atom masses must sum to 1 exactly")
-    probs = {p: Fraction(c, denom) for p, c in counts.items()}
+    masses = {c: Fraction(c, denom) for c in set(counts.values())}
+    probs = {p: masses[c] for p, c in counts.items()}
     return AtomTable(d, probs, Fraction(total, denom))
 
 
@@ -116,11 +165,16 @@ def count_sign_solutions_columns(columns, b, cap: int = SOLUTION_CAP_DEFAULT) ->
     b = tuple(b)
     if len(b) != d:
         raise ValueError("target vector length mismatch")
+    sums = _column_sums(columns, d)
+    if any(abs(x) > s for x, s in zip(b, sums)):
+        return 0
     # Meet in the middle: fold each half, then join on left + right = b.
+    base = 2 * max(sums, default=0) + 1
     half = (n + 1) // 2
-    left = _sign_sum_counts(columns[:half], d)
-    right = _sign_sum_counts(columns[half:], d)
-    return sum(cl * right.get(tuple(map(sub, b, pl)), 0) for pl, cl in left.items())
+    left = _packed_sign_sums(columns[:half], base)
+    get = _packed_sign_sums(columns[half:], base).get
+    bp = _pack(b, base)
+    return sum(cl * get(bp - k, 0) for k, cl in left.items())
 
 
 def count_sign_solutions(a: ExactMatrix, b=None, cap: int = SOLUTION_CAP_DEFAULT) -> int:

@@ -3,12 +3,15 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+from acbounds import bounds
 from acbounds.bounds import (
     BoundParams,
+    _assignments,
+    _distinct_permutations,
     _is_psd,
     atom_general_bound,
     central_binomial_ratio,
@@ -396,6 +399,50 @@ def test_central_binomial_ratio():
     assert central_binomial_ratio(2) == Fraction(1, 2)
     assert central_binomial_ratio(4) == Fraction(3, 8)
     assert central_binomial_ratio(6) == Fraction(5, 16)
+
+
+def test_distinct_permutations_of_reciprocal_tuples():
+    for divisor in (2, 4):
+        for ell in range(1, 7):
+            for tup in enumerate_reciprocal_tuples(ell, divisor=divisor):
+                expected = set(permutations(tup.values))
+                listed = list(_distinct_permutations(tup.values))
+                assert len(listed) == len(expected)
+                assert set(listed) == expected
+                assert _assignments(list(range(ell)), tup.values) == expected
+
+
+def test_assignments_leave_the_sbp_bounds_bit_identical(monkeypatch):
+    rng = random.Random(17)
+    systems = [tightness_system(d, ell) for d in (1, 2) for ell in (2, 4, 6, 8)]
+    systems += [
+        VectorSystem.from_vectors(
+            [tuple(rng.choice((-2, -1, 1, 3)) for _ in range(2)) for _ in range(ell)],
+            [[i] for i in range(ell)],
+        )
+        for ell in (2, 3, 4, 5, 6, 8)
+    ]
+    params = [BoundParams(), BoundParams(M=2.0, eps=0.3, lam=0.5, C=1.5)]
+
+    def evaluate():
+        values = []
+        for sys in systems:
+            for p in params:
+                if sys.ell % 2 == 0:
+                    values.append(halasz_sbp_bound(sys, p))
+                for divisor, ells in ((2, range(2, 6)), (4, range(4, 7))):
+                    if sys.ell in ells:
+                        values.append(sbp_general_bound(sys, p, divisor=divisor))
+        return values
+
+    fast = evaluate()
+    # The replaced helper: every ordering, deduplicated afterwards.
+    monkeypatch.setattr(
+        bounds,
+        "_assignments",
+        lambda ranks, values: set(permutations(values)) if len(values) <= 8 else None,
+    )
+    assert evaluate() == fast
 
 
 def test_assignment_helper_greedy_above_eight_blocks():

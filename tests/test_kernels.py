@@ -1,9 +1,12 @@
 """The integer convolution kernel: differential and property tests.
 
-Atom tables (a fold of two-point convolutions) are compared with a naive
-2^n enumeration and with the meet-in-the-middle solution counter;
-`LatticeDistribution` operations are checked against their algebraic laws,
-and the replication checks against the full-power factors they replace.
+Atom tables (a fold of two-point convolutions on packed integer keys) are
+compared with a naive 2^n enumeration and with the meet-in-the-middle
+solution counter, also on the inputs where a packed key could alias: sums
+at the edge of the reachable box, targets just outside it, zero vectors,
+d = 1, large entries and d >= 8.  `LatticeDistribution` operations are
+checked against their algebraic laws, and the replication checks against
+the full-power factors they replace.
 """
 
 import random
@@ -87,6 +90,92 @@ def test_atom_fold_matches_meet_in_the_middle_counts(system):
     outside = tuple(1 + sum(abs(v[c]) for v in columns) for c in range(system.dimension))
     assert outside not in table.probs
     assert count_sign_solutions_columns(columns, outside) == 0
+
+
+def box_sums(vectors):
+    """S_i = sum_j |v_j[i]|, the half-widths of the reachable box."""
+    return [sum(abs(v[c]) for v in vectors) for c in range(len(vectors[0]))]
+
+
+def probe_targets(vectors, counts):
+    """Every atom, its neighbours, and targets just outside the reachable box
+    or packing to the same key as a reachable point under a base of 2 S + 1."""
+    d = len(vectors[0])
+    sums = box_sums(vectors)
+    base = 2 * max(sums) + 1
+    targets = set(counts)
+    for p in counts:
+        for c in range(d):
+            for step in (-1, 1):
+                targets.add(p[:c] + (p[c] + step,) + p[c + 1 :])
+    for c in range(d):
+        for sign in (-1, 1):
+            targets.add(tuple(sign * (sums[c] + 1) if i == c else 0 for i in range(d)))
+            targets.add(tuple(sign * sums[c] if i == c else sign * (sums[i] + 1) for i in range(d)))
+        if c + 1 < d:
+            # (..., base, -1, ...) packs to the key of the origin.
+            targets.add(tuple(base if i == c else -1 if i == c + 1 else 0 for i in range(d)))
+    return targets
+
+
+def check_against_naive(vectors):
+    n = len(vectors)
+    counts = naive_counts(vectors)
+    table = atom_distribution(VectorSystem.from_vectors(vectors))
+    assert table.probs == {p: Fraction(c, 1 << n) for p, c in counts.items()}
+    for target in probe_targets(vectors, counts):
+        assert count_sign_solutions_columns(vectors, target) == counts.get(target, 0), target
+
+
+LARGE = 10**6
+
+
+@st.composite
+def edge_systems(draw, max_n=9):
+    """Systems with d in {1, 2, 8, 9}, entries small, non-positive or near
+    +-10^6, and zero vectors; some have every vector equal, so their sums
+    reach +-S_i exactly."""
+    d = draw(st.sampled_from([1, 2, 8, 9]))
+    entry = draw(
+        st.sampled_from(
+            [
+                st.integers(-2, 2),
+                st.integers(-3, 0),
+                st.sampled_from([0, 1, -1]) | st.integers(LARGE - 2, LARGE + 2)
+                | st.integers(-LARGE - 2, -LARGE + 2),
+            ]
+        )
+    )
+    vector = st.tuples(*[entry] * d)
+    if draw(st.booleans()):
+        return [draw(vector)] * draw(st.integers(1, max_n))
+    return draw(st.lists(vector, min_size=1, max_size=max_n))
+
+
+@SETTINGS
+@given(edge_systems())
+def test_packed_kernel_matches_naive_on_edge_systems(vectors):
+    check_against_naive(vectors)
+
+
+EDGE_EXAMPLES = [
+    [(1, 0), (1, 0)],  # (5, -1) packs to 0 under base 5
+    [(2, -1)] * 7,  # every vector equal: sums reach +-S_i exactly
+    [(0, 0, 0)] * 4,  # zero vectors only
+    [(1, 2), (0, 0), (-1, 1), (0, 0)],
+    [(3,), (-1,), (0,), (2,), (2,)],  # d = 1
+    [(-1, -2, 0), (-2, 0, -1), (0, -1, -2), (-1, -1, -1)],  # negative only
+    [(LARGE, -LARGE), (LARGE + 1, 3), (-LARGE, 1), (1, LARGE - 1)],
+    [tuple((i * j) % 5 - 2 for j in range(9)) for i in range(7)],  # d = 9
+    [(1,) * 8, (1,) * 8, (0,) * 7 + (1,), (-1,) + (0,) * 7],  # d = 8
+]
+
+
+def test_packed_kernel_matches_naive_on_fixed_examples():
+    assert count_sign_solutions_columns([(1, 0), (1, 0)], (5, -1)) == 0
+    assert count_sign_solutions_columns([(1, 0), (1, 0)], (2, 0)) == 1
+    for vectors in EDGE_EXAMPLES:
+        check_against_naive(vectors)
 
 
 @SETTINGS

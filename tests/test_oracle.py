@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from acbounds.bounds import halasz_atom_bound
 from acbounds.exactmat import BudgetExceededError, ExactMatrix, rank
 from acbounds.oracle import (
     atom_distribution,
@@ -14,6 +15,7 @@ from acbounds.oracle import (
     count_sign_solutions,
     levy_lower_bound,
 )
+from acbounds.sweeps import tightness_system
 from acbounds.system import VectorSystem
 
 H24 = ExactMatrix.from_rows([[1, 1, 1, 1], [1, 1, -1, -1]])
@@ -63,6 +65,30 @@ def test_atom_distribution_matches_naive_wider():
     vectors = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(16)]
     sys = VectorSystem.from_vectors(vectors)
     assert atom_distribution(sys).probs == naive_atom_distribution(vectors)
+
+
+def test_atom_masses_share_one_fraction_per_count():
+    rng = random.Random(23)
+    tight = [tightness_system(d, ell) for d in (1, 2, 3) for ell in (2, 4)]
+    systems = tight + [
+        VectorSystem.from_vectors(
+            [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, 12))]
+        )
+        for d in (1, 2, 3, 4)
+        for _ in range(5)
+    ]
+    for sys in systems:
+        n = sys.n
+        counts = {p: int(q * (1 << n)) for p, q in naive_atom_distribution(sys.vectors).items()}
+        table = atom_distribution(sys)
+        assert table.probs.keys() == counts.keys()
+        for p, c in counts.items():
+            assert table.probs[p] == Fraction(c, 2**n)
+        # Atoms with equal counts hold the same Fraction object.
+        assert len({id(q) for q in table.probs.values()}) == len(set(counts.values()))
+        assert table.max_atom() == Fraction(max(counts.values()), 2**n)
+    for sys in tight:
+        assert atom_max(sys) == halasz_atom_bound(sys.block_ranks(), sys.ell)
 
 
 def test_atom_masses_are_dyadic():
