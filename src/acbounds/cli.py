@@ -186,7 +186,7 @@ def _cmd_oracle(args) -> int:
         _emit({"count": str(count)}, args.format)
     elif kind == "combdim":
         matrix = _load_matrix(args.matrix)
-        count, d_pm = combinatorial_dimension(matrix)
+        count, d_pm = combinatorial_dimension(matrix, **cap)
         _emit({"count": str(count), "d_pm": d_pm}, args.format)
     elif kind == "levy":
         system = _load_system(args.system)
@@ -358,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--radius", type=float, default=0.0)
     p_oracle.add_argument("--centers", choices=("atoms", "atoms+midpoints"), default="atoms")
     p_oracle.add_argument("--cap", type=int, default=None,
-                          help="enumeration cap on n (default: 26 for atoms and levy, "
-                               "40 for count)")
+                          help="enumeration cap: on n for atoms and levy (default 26) and for "
+                               "count (default 40), on the rank for combdim (default 20)")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_rank = sub.add_parser("rank-partition", help="greedy rank partition of a matrix")

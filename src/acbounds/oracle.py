@@ -11,13 +11,14 @@ and each vector turns a table of counts into the sum of its two shifts by
 +-v (a zero vector doubles every count).  Distinct points pack to distinct
 keys when every coordinate of their difference is below B in absolute value,
 so B is odd and above twice the largest reachable |coordinate|:
-B = 2 S + 1 with S the largest column sum S_i = sum_j |v_j[i]|.  Keys are
-decoded to tuples once, at the end.  Atom tables fold all vectors and share
-one `Fraction` per distinct count; solution counts fold each half of the
-columns and join the halves on packed keys, after ruling out targets with
-some |b_i| > S_i (then |b_i - u_i - w_i| <= 2 S_i for every pair of half
-sums u, w, so the join cannot alias); subspace sign-vector counts join the
-decoded halves of a reduced basis.
+B = 2 S + 1 with S the largest column sum S_i = sum_j |v_j[i]|.  The atom
+queries read one count table checked to total 2^n: `atom_max` takes its
+largest count on the packed keys, `levy_lower_bound` keeps the decoded
+counts as integer weights, and only `atom_distribution` builds `Fraction`
+masses, one per distinct count.  Solution counts join the packed folds of
+the two column halves, after ruling out targets with some |b_i| > S_i (then
+|b_i - u_i - w_i| <= 2 S_i for all half sums u, w: the join cannot alias);
+subspace sign-vector counts join the decoded halves of a reduced basis.
 """
 
 from __future__ import annotations
@@ -67,26 +68,32 @@ def _packed_sign_sums(vectors, base: int) -> dict:
 
 
 def _unpack_counts(packed: dict, base: int, d: int) -> dict:
-    """Decode packed keys to d-tuples, one digit of every key at a time."""
+    """Decode packed keys to d-tuples, one digit of every key at a time,
+    emptying `packed` first so that the two tables are never alive together."""
     half = base // 2
     # Offset by the packed (half, ..., half): the digits become 0..base-1.
     offset = _pack((half,) * d, base)
     keys = [k + offset for k in packed]
+    counts = list(packed.values())
+    packed.clear()
     digits = []
     for _ in range(d):
         digits.append([k % base - half for k in keys])
         keys = [k // base for k in keys]
-    points = zip(*digits) if d else [()] * len(keys)
-    return dict(zip(points, packed.values()))
+    points = zip(*digits) if d else [()] * len(counts)
+    return dict(zip(points, counts))
 
 
-def _sign_sum_counts(vectors, d: int) -> dict:
-    """Lattice point u -> number of sign vectors with sum(eps_i v_i) = u.
-
-    The table's size is that of the sum lattice, not 2^len(vectors).
-    """
-    base = 2 * max(_column_sums(vectors, d), default=0) + 1
-    return _unpack_counts(_packed_sign_sums(vectors, base), base, d)
+def _atom_counts(system: VectorSystem, cap: int) -> tuple:
+    """(packed key of u -> number of sign vectors with sum(eps_i a_i) = u, base),
+    checked to total 2^n.  The table's size is that of the sum lattice."""
+    if system.n > cap:
+        raise BudgetExceededError(f"n={system.n} exceeds enumeration cap {cap}")
+    base = 2 * max(_column_sums(system.vectors, system.dimension), default=0) + 1
+    counts = _packed_sign_sums(system.vectors, base)
+    if sum(counts.values()) != 1 << system.n:
+        raise AssertionError("atom masses must sum to 1 exactly")
+    return counts, base
 
 
 @dataclass(frozen=True)
@@ -104,26 +111,22 @@ class AtomTable:
 def atom_distribution(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> AtomTable:
     """Exact distribution of sum(eps_i a_i) over independent Rademacher signs.
 
-    The sign-vector counts of the integer fold must total 2^n; each distinct
-    count becomes one `Fraction` mass, shared by the atoms that have it.
+    Each distinct count of the checked fold becomes one `Fraction` mass,
+    shared by the atoms that have it.
     """
-    n = system.n
-    if n > cap:
-        raise BudgetExceededError(f"n={n} exceeds enumeration cap {cap}")
-    d = system.dimension
-    counts = _sign_sum_counts(system.vectors, d)
-    denom = 1 << n
-    total = sum(counts.values())
-    if total != denom:
-        raise AssertionError("atom masses must sum to 1 exactly")
+    counts, base = _atom_counts(system, cap)
+    denom = 1 << system.n
     masses = {c: Fraction(c, denom) for c in set(counts.values())}
-    probs = {p: masses[c] for p, c in counts.items()}
-    return AtomTable(d, probs, Fraction(total, denom))
+    probs = _unpack_counts(counts, base, system.dimension)
+    for p, c in probs.items():
+        probs[p] = masses[c]
+    return AtomTable(system.dimension, probs, Fraction(1))
 
 
 def atom_max(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> Fraction:
-    """sup over u of Pr[sum(eps_i a_i) = u], exactly."""
-    return atom_distribution(system, cap=cap).max_atom()
+    """sup over u of Pr[sum(eps_i a_i) = u], exactly: the largest count / 2^n."""
+    counts, _ = _atom_counts(system, cap)
+    return Fraction(max(counts.values()), 1 << system.n)
 
 
 def levy_lower_bound(
@@ -142,12 +145,14 @@ def levy_lower_bound(
     """
     if centers not in ("atoms", "atoms+midpoints"):
         raise ValueError("centers must be 'atoms' or 'atoms+midpoints'")
-    table = atom_distribution(system, cap=cap)
-    dist = LatticeDistribution(table.dimension, table.probs)
+    counts, base = _atom_counts(system, cap)
+    d = system.dimension
+    # gcd(counts) divides their sum 2^n, so these weights reduce exactly.
+    dist = LatticeDistribution._from_weights(d, _unpack_counts(counts, base, d), 1 << system.n)
     best = dist.best_ball_mass(radius)
     if centers == "atoms+midpoints":
         # One `ball_mass` pass per distinct doubled midpoint, not per pair.
-        points = list(table.probs)
+        points = list(dist.weights)
         doubled = {tuple(map(add, p, q)) for i, p in enumerate(points) for q in points[i + 1 :]}
         for c in doubled:
             best = max(best, dist.ball_mass(tuple(Fraction(x, 2) for x in c), radius))
@@ -182,10 +187,6 @@ def count_sign_solutions(a: ExactMatrix, b=None, cap: int = SOLUTION_CAP_DEFAULT
 
     A matrix with zero rows imposes no constraints and yields 2^cols.
     """
-    if a.rows == 0:
-        if a.cols > cap:
-            raise BudgetExceededError(f"n={a.cols} exceeds enumeration cap {cap}")
-        return 1 << a.cols
     if b is None:
         b = (0,) * a.rows
     columns = [a.column(j) for j in range(a.cols)]
@@ -202,8 +203,8 @@ def combinatorial_dimension(
     the space is z.basis for z its values on the pivot coordinates, so a sign
     vector has z in {+-1}^rank, and then its pivot coordinates are +-denom.
     Each half of the basis rows, restricted to the free coordinates, is
-    folded with `_sign_sum_counts`, and the pairs of half sums that add up to
-    +-denom in every free coordinate are counted.  Returns
+    folded and decoded, and the pairs of half sums that add up to +-denom in
+    every free coordinate are counted.  Returns
     (count, log2(count)); the log is None when count = 0.
     """
     basis, pivots = rref_fraction(spanning.entries)
@@ -215,9 +216,10 @@ def combinatorial_dimension(
     denom = math.lcm(*(x.denominator for row in basis for x in row))
     free = [j for j in range(spanning.cols) if j not in pivots]
     rows = [[int(row[j] * denom) for j in free] for row in basis]
+    base = 2 * max(_column_sums(rows, len(free)), default=0) + 1
     half = (r + 1) // 2
-    left = _sign_sum_counts(rows[:half], len(free))
-    right = _sign_sum_counts(rows[half:], len(free))
+    left = _unpack_counts(_packed_sign_sums(rows[:half], base), base, len(free))
+    right = _unpack_counts(_packed_sign_sums(rows[half:], base), base, len(free))
     count = sum(
         cl * cr
         for pl, cl in left.items()

@@ -8,7 +8,7 @@ violation list is the pass condition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .bounds import (
@@ -76,13 +76,7 @@ class SweepReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "instances": self.instances,
-            "seed": self.seed,
-            "violations": self.violations,
-            "max_ratio": self.max_ratio,
-            "tight_count": self.tight_count,
-        }
+        return asdict(self)
 
 
 def run_halasz_sweep(
@@ -163,17 +157,21 @@ def run_replication_sweep(
     violations = []
     max_ratio = 0.0
     tight = 0
-    for idx in range(instances):
-        d = rng.randint(1, 2)
-        ell = rng.randint(max(2, divisor), 4 if small_ball else 5)
-        tuples = [
-            t
+    low, high = max(2, divisor), 4 if small_ball else 5
+    tuples_of = {  # each ell's tuples, enumerated once
+        ell: [
+            t.values
             for t in enumerate_reciprocal_tuples(ell, divisor=divisor, cap=10000)
             if max(t.values) <= (8 if small_ball else 16)
         ]
-        if not tuples:
+        for ell in range(low, high + 1)
+    }
+    for idx in range(instances):
+        d = rng.randint(1, 2)
+        ell = rng.randint(low, high)
+        if not tuples_of[ell]:
             continue
-        tup = rng.choice(tuples).values
+        tup = rng.choice(tuples_of[ell])
         origin_symmetric = variant == "origin-symmetric"
         max_support = 3 if small_ball else 5
         dists = [

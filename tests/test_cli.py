@@ -182,3 +182,32 @@ def test_oracle_atoms_keeps_the_atom_cap(tmp_path, capsys):
     code, _, err = run_cli(capsys, "oracle", "atoms", "--system", str(path))
     assert code == 3
     assert "cap 26" in err
+
+
+def test_oracle_count_zero_rows_rejects_a_target(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 5\n")
+    code, out, _ = run_cli(capsys, "oracle", "count", "--matrix", str(path))
+    assert code == 0
+    assert json.loads(out)["count"] == "32"
+    for target in ("1", "7,7"):
+        code, out, err = run_cli(capsys, "oracle", "count", "--matrix", str(path),
+                                 "--target", target)
+        assert code == 2
+        assert out == ""
+        assert "target vector length mismatch" in json.loads(err)["error"]
+
+
+def test_oracle_combdim_honours_the_cap(tmp_path, capsys):
+    path = tmp_path / "mat.txt"
+    path.write_text("2 4\n1 1 1 1\n1 1 -1 -1\n")
+    code, out, _ = run_cli(capsys, "oracle", "combdim", "--matrix", str(path))
+    assert code == 0
+    assert json.loads(out)["count"] == "4"
+    code, out, err = run_cli(capsys, "oracle", "combdim", "--matrix", str(path), "--cap", "1")
+    assert code == 3
+    assert out == ""
+    assert "rank 2 exceeds enumeration cap 1" in json.loads(err)["error"]
+    code, out, _ = run_cli(capsys, "oracle", "combdim", "--matrix", str(path), "--cap", "2")
+    assert code == 0
+    assert json.loads(out)["count"] == "4"

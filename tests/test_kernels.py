@@ -4,7 +4,9 @@ Atom tables (a fold of two-point convolutions on packed integer keys) are
 compared with a naive 2^n enumeration and with the meet-in-the-middle
 solution counter, also on the inputs where a packed key could alias: sums
 at the edge of the reachable box, targets just outside it, zero vectors,
-d = 1, large entries and d >= 8.  `LatticeDistribution` operations are
+d = 1, large entries and d >= 8.  The atom maximum and the Levy lower bound,
+which read the integer counts without building a `Fraction` table, are
+compared with the table path.  `LatticeDistribution` operations are
 checked against their algebraic laws, and the replication checks against
 the full-power factors they replace.
 """
@@ -26,7 +28,13 @@ from acbounds.distributions import (
     self_convolve,
     symmetrize,
 )
-from acbounds.oracle import atom_distribution, count_sign_solutions_columns
+from acbounds import oracle
+from acbounds.oracle import (
+    atom_distribution,
+    atom_max,
+    count_sign_solutions_columns,
+    levy_lower_bound,
+)
 from acbounds.sweeps import random_lattice_distribution
 from acbounds.system import VectorSystem
 
@@ -36,10 +44,10 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def signed_systems(draw, max_n):
+def signed_systems(draw, max_n, max_d=3):
     """Vector systems that always contain a zero vector, a repeated vector
     and a +-v pair, the inputs where two-point weights merge."""
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, max_d))
     vector = st.tuples(*[st.integers(-2, 2)] * d)
     base = draw(st.lists(vector, min_size=1, max_size=max_n - 3))
     extra = [(0,) * d, base[0], tuple(-x for x in base[-1])]
@@ -121,8 +129,10 @@ def probe_targets(vectors, counts):
 def check_against_naive(vectors):
     n = len(vectors)
     counts = naive_counts(vectors)
-    table = atom_distribution(VectorSystem.from_vectors(vectors))
+    system = VectorSystem.from_vectors(vectors)
+    table = atom_distribution(system)
     assert table.probs == {p: Fraction(c, 1 << n) for p, c in counts.items()}
+    assert atom_max(system) == Fraction(max(counts.values()), 1 << n)
     for target in probe_targets(vectors, counts):
         assert count_sign_solutions_columns(vectors, target) == counts.get(target, 0), target
 
@@ -176,6 +186,58 @@ def test_packed_kernel_matches_naive_on_fixed_examples():
     assert count_sign_solutions_columns([(1, 0), (1, 0)], (2, 0)) == 1
     for vectors in EDGE_EXAMPLES:
         check_against_naive(vectors)
+
+
+@SETTINGS
+@given(signed_systems(max_n=12, max_d=4))
+def test_atom_max_matches_the_table_and_naive_enumeration(system):
+    expected = Fraction(max(naive_counts(system.vectors).values()), 1 << system.n)
+    assert atom_max(system) == atom_distribution(system).max_atom() == expected
+
+
+def reference_levy(system, radius, centers):
+    """The table path: `Fraction` masses through the public constructor, and
+    every distinct atom midpoint as a centre."""
+    table = atom_distribution(system)
+    dist = LatticeDistribution(table.dimension, table.probs)
+    best = dist.best_ball_mass(radius)
+    if centers == "atoms+midpoints":
+        points = list(table.probs)
+        for c in {tuple(Fraction(a + b, 2) for a, b in zip(p, q))
+                  for i, p in enumerate(points) for q in points[i + 1 :]}:
+            best = max(best, dist.ball_mass(c, radius))
+    return best
+
+
+@SETTINGS
+@given(
+    signed_systems(max_n=9, max_d=4),
+    st.sampled_from([0, 1, Fraction(3, 2), 2]),
+    st.sampled_from(["atoms", "atoms+midpoints"]),
+)
+def test_levy_lower_bound_matches_the_table_path(system, radius, centers):
+    n, d = system.n, system.dimension
+    table = atom_distribution(system)
+    from_counts = LatticeDistribution._from_weights(d, naive_counts(system.vectors), 1 << n)
+    assert from_counts == LatticeDistribution(d, table.probs)
+    assert levy_lower_bound(system, radius, centers=centers) == reference_levy(
+        system, radius, centers
+    )
+
+
+def test_atom_max_and_levy_build_no_fraction_table(monkeypatch):
+    system = VectorSystem.from_vectors([(1, 0), (1, 1), (0, 0), (-1, -1), (2, 1)])
+    expected_max = atom_max(system)
+    expected_levy = levy_lower_bound(system, 1, centers="atoms+midpoints")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("table path taken")
+
+    monkeypatch.setattr(oracle, "atom_distribution", forbidden)
+    monkeypatch.setattr(LatticeDistribution, "__init__", forbidden)
+    assert levy_lower_bound(system, 1, centers="atoms+midpoints") == expected_levy
+    monkeypatch.setattr(oracle, "_unpack_counts", forbidden)
+    assert atom_max(system) == expected_max
 
 
 @SETTINGS

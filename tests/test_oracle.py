@@ -139,6 +139,16 @@ def test_count_sign_solutions_no_constraints():
     assert count_sign_solutions(empty) == 64
 
 
+def test_count_sign_solutions_zero_rows_checks_the_target():
+    empty = ExactMatrix.from_rows([], cols=5)
+    assert count_sign_solutions(empty, ()) == 32
+    for target in ((1,), (7, 7)):
+        with pytest.raises(ValueError, match="target vector length mismatch"):
+            count_sign_solutions(empty, target)
+    with pytest.raises(BudgetExceededError, match="cap 4"):
+        count_sign_solutions(empty, cap=4)
+
+
 def test_count_sign_solutions_kernel_bound():
     rng = random.Random(31)
     for _ in range(60):
