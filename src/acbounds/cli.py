@@ -260,7 +260,11 @@ def _cmd_normal(args) -> int:
         _emit({"normal": ok}, args.format)
         return EXIT_OK if ok else EXIT_VERIFICATION
     if kind == "constants":
-        analysis = solve_case_constants(eps=args.eps)
+        if args.beta_small is not None:
+            improved = improved_case_constants(args.beta_small, eps=args.eps)
+            analysis = improved.baseline
+        else:
+            analysis = solve_case_constants(eps=args.eps)
         report = {
             "cases": [
                 {"id": c.case_id, "beta": c.beta, "s": c.s, "t": c.t}
@@ -270,7 +274,6 @@ def _cmd_normal(args) -> int:
             "c_dv": analysis.c_dv,
         }
         if args.beta_small is not None:
-            improved = improved_case_constants(args.beta_small, eps=args.eps)
             report["improved"] = {
                 "beta_small": args.beta_small,
                 "delta": improved.delta_improve,

@@ -8,7 +8,11 @@ case-constant solver works in normalized coordinates (s, t scaled by n), where
 the exponent functions are homogeneous of degree two.  Boundary cases have a
 closed-form restriction at each point and are scanned along their curve; the
 crossing cases are the least -g on a closed-form curve gap(s, t) = 0, scanned
-once in t, so no case needs a fixed-point loop.
+once in t, so no case needs a fixed-point loop.  Each scan evaluates its
+GRID_STEP grid as one numpy float64 array pass and refines the grid's best
+point by scalar golden-section search; the array pass repeats the scalar
+function's IEEE operations in the same order, so the result is bit-identical
+to a scalar scan.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .exactmat import BudgetExceededError, ExactMatrix, rank
 from .oracle import count_sign_solutions
@@ -246,14 +252,24 @@ def h_case_function(s: float, t: float, beta_small: float) -> float:
     return _g1(s, t) - beta_small * beta_small / 2
 
 
-def _pointwise_restriction(g_val, s, t, eps):
+def _elementwise_max(a, b):
+    """max(a, b) over arrays, with Python's tie and NaN rule: b only if b > a.
+
+    (np.maximum returns its second operand on a -0.0 / 0.0 tie and NaN
+    whenever either operand is NaN.)
+    """
+    return np.where(b > a, b, a)
+
+
+def _pointwise_restriction(g_val, s, t, eps, maximum=max):
     """The beta with min(g, f(beta - eps)) = -beta at a fixed point (s, t), t < 1.
 
     Both g + beta and f(beta - eps) + beta increase in beta, so the root of
     their minimum is the larger of their two roots: -g and the closed form
-    of f(beta - eps) = -beta.
+    of f(beta - eps) = -beta.  With maximum=_elementwise_max, s, t and g_val
+    may be arrays.
     """
-    return max(-g_val, (s * s / 2 + 1 - s - (1 + eps) * t * t) / (1 - t * t))
+    return maximum(-g_val, (s * s / 2 + 1 - s - (1 + eps) * t * t) / (1 - t * t))
 
 
 # Grid spacing of the scans in s and t; it is also the lower end of the s range.
@@ -262,15 +278,34 @@ GRID_STEP = 1e-4
 GAMMA = 0.75
 
 
-def _minimize_scalar(fn, lo, hi):
-    """Grid scan at GRID_STEP then golden-section refinement to ~1e-13."""
+def _scan_grid(lo, hi):
+    """The scan points after lo: lo + i (hi - lo) / steps for i = 1..steps."""
     steps = max(1, int(round((hi - lo) / GRID_STEP)))
-    best_s, best_v = lo, fn(lo)
-    for i in range(1, steps + 1):
-        s = lo + i * (hi - lo) / steps
-        v = fn(s)
-        if v < best_v:
-            best_s, best_v = s, v
+    return lo + np.arange(1, steps + 1) * (hi - lo) / steps
+
+
+def _grid_pick(best_s, best_v, grid, values):
+    """The point a scalar scan keeps: starting from (best_s, best_v), each
+    grid value strictly below the best so far replaces it.  That is the first
+    of the least values, if it is below best_v; NaN never replaces, and a NaN
+    best_v is never replaced."""
+    values = np.where(np.isnan(values), math.inf, values)
+    i = int(np.argmin(values))
+    if values[i] < best_v:
+        return float(grid[i]), float(values[i])
+    return best_s, best_v
+
+
+def _minimize_scalar(fn, fn_array, lo, hi):
+    """Grid scan at GRID_STEP then golden-section refinement to ~1e-13.
+
+    The grid is evaluated in one numpy array pass, fn_array(grid), and the
+    refinement calls fn on floats.  fn_array(grid) must equal
+    [fn(x) for x in grid] bit for bit; then the result is bit-identical to a
+    scalar scan's.
+    """
+    grid = _scan_grid(lo, hi)
+    best_s, best_v = _grid_pick(lo, fn(lo), grid, fn_array(grid))
     a = max(lo, best_s - 2 * GRID_STEP)
     b = min(hi, best_s + 2 * GRID_STEP)
     inv_phi = (math.sqrt(5) - 1) / 2
@@ -323,11 +358,13 @@ class CaseConstants:
 
 
 def _boundary_case(case_id, g_fn, t_of_s, s_lo, s_hi, eps):
-    def value(s):
+    def value(s, maximum=max):
         t = t_of_s(s)
-        return _pointwise_restriction(g_fn(s, t), s, t, eps)
+        return _pointwise_restriction(g_fn(s, t), s, t, eps, maximum)
 
-    s_best, v_best = _minimize_scalar(value, s_lo, s_hi)
+    s_best, v_best = _minimize_scalar(
+        value, lambda s: value(s, _elementwise_max), s_lo, s_hi
+    )
     return CaseRestriction(case_id, v_best, s_best, t_of_s(s_best))
 
 
@@ -350,7 +387,9 @@ def _crossing_case(case_id, g_fn, s_lo, s_hi, eps, sharpen=0.0):
         return (t * t - 1) * h(s, t) + (1 + eps) * t * t - s * s / 2 + s - 1
 
     def feasible(s, t):
-        return s_lo <= s <= s_hi and max(s, 1 - s) <= t <= 1 - s / 2
+        # s_lo <= s <= s_hi and max(s, 1 - s) <= t <= 1 - s / 2, for floats
+        # and arrays alike
+        return (s_lo <= s) & (s <= s_hi) & (s <= t) & (1 - s <= t) & (t <= 1 - s / 2)
 
     def best_at(t):
         # gap(., t) = a s^2 + b s + c, read off at s = 0 and s = +-1; the
@@ -364,7 +403,24 @@ def _crossing_case(case_id, g_fn, s_lo, s_hi, eps, sharpen=0.0):
         roots = ([c / q] if q else []) + ([q / a] if a else [])
         return min(((-h(s, t), s) for s in roots if feasible(s, t)), default=(math.inf, math.nan))
 
-    t_scan, v_scan = _minimize_scalar(lambda t: best_at(t)[0], 0.5, 1.0)
+    def best_values(t):
+        # best_at(t)[0] over an array of t.  A root that best_at leaves out
+        # (disc < 0, q == 0 or a == 0) comes out NaN or infinite here and
+        # fails `feasible`, so it stays at inf; the two roots are compared
+        # as best_at's (-h, s) tuples are.
+        c, up, down = gap(0.0, t), gap(1.0, t), gap(-1.0, t)
+        a, b = (up + down) / 2 - c, (up - down) / 2
+        disc = b * b - 4 * a * c
+        best, best_s = np.full_like(t, math.inf), np.full_like(t, math.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(b + np.copysign(np.sqrt(disc), b)) / 2
+            for s in (c / q, q / a):
+                v = -h(s, t)
+                take = feasible(s, t) & ((v < best) | ((v == best) & (s < best_s)))
+                best, best_s = np.where(take, v, best), np.where(take, s, best_s)
+        return best
+
+    t_scan, v_scan = _minimize_scalar(lambda t: best_at(t)[0], best_values, 0.5, 1.0)
     candidates = [(v_scan, best_at(t_scan)[1], t_scan)]
     for s in (s_lo, s_hi):
         lo, hi = max(s, 1 - s), 1 - s / 2
@@ -387,8 +443,9 @@ def solve_case_constants(eps: float = 1e-6) -> CaseAnalysis:
     pointwise restriction has a closed form, and are scanned in s.  Cases 5
     and 6 live on the f = g2 / f = g1 crossing curves; each is the least -g
     on its crossing, written as gap(s, t) = 0 and scanned once in t (see
-    `_crossing_case`).  Each scan is a grid plus local refinement.  eps must
-    satisfy 0 <= eps < 1.
+    `_crossing_case`).  Each scan evaluates its GRID_STEP grid in one numpy
+    array pass, bit-identical to a scalar scan, and refines the best grid
+    point by scalar golden-section search.  eps must satisfy 0 <= eps < 1.
     """
     if not 0 <= eps < 1:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")

@@ -187,10 +187,11 @@ def count_sign_solutions(a: ExactMatrix, b=None, cap: int = SOLUTION_CAP_DEFAULT
 
     A matrix with zero rows imposes no constraints and yields 2^cols.
     """
-    if b is None:
-        b = (0,) * a.rows
+    b = (0,) * a.rows if b is None else tuple(b)
+    if len(b) != a.rows:
+        raise ValueError("target vector length mismatch")
     columns = [a.column(j) for j in range(a.cols)]
-    return count_sign_solutions_columns(columns, tuple(b), cap=cap)
+    return count_sign_solutions_columns(columns, b, cap=cap)
 
 
 def combinatorial_dimension(

@@ -2,6 +2,7 @@
 
 import json
 
+from acbounds import cli, normal
 from acbounds.cli import main
 
 
@@ -105,6 +106,35 @@ def test_normal_constants_shape(capsys):
     assert len(body["cases"]) == 6
     assert body["c_dv"] < 0.698
     assert body["improved"]["delta"] > 0
+
+
+def test_normal_constants_solve_the_baseline_once(monkeypatch, capsys):
+    # With --beta-small the cases come from the improved solve's baseline:
+    # the same bytes as a plain solve's report, and one baseline solve.
+    eps = "0.0001"
+    _, plain, _ = run_cli(capsys, "normal", "constants", "--eps", eps)
+    improved = normal.improved_case_constants(2**-11, eps=1e-4)
+    solves = []
+    solve = normal.solve_case_constants
+
+    def counted(*args, **kwargs):
+        solves.append(args or kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(normal, "solve_case_constants", counted)
+    monkeypatch.setattr(cli, "solve_case_constants", counted)
+    code, out, _ = run_cli(
+        capsys, "normal", "constants", "--eps", eps, "--beta-small", str(2**-11)
+    )
+    assert code == 0 and len(solves) == 1
+    body = json.loads(plain)
+    body["improved"] = {
+        "beta_small": 2**-11,
+        "delta": improved.delta_improve,
+        "worst_beta": improved.new_worst_beta,
+        "c_dv": improved.new_c_dv,
+    }
+    assert out == json.dumps(body, sort_keys=True) + "\n"
 
 
 def test_normal_constants_reject_bad_eps(capsys):

@@ -4,8 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acbounds import normal
 from acbounds.exactmat import ExactMatrix
 from acbounds.normal import (
     PartialMatrix,
@@ -292,6 +296,80 @@ def test_crossing_restrictions_are_least_on_sampled_crossings(eps):
         assert sampled, case_id
         assert beta <= min(sampled) + 1e-12, case_id
         assert min(sampled) - beta < 1e-4, case_id
+
+
+def _scalar_scan(lo, hi, fn):
+    """The grid points and the point kept by the scalar loop the array pass
+    replaced: (grid, values, (best_s, best_v))."""
+    steps = max(1, int(round((hi - lo) / normal.GRID_STEP)))
+    grid = [lo + i * (hi - lo) / steps for i in range(1, steps + 1)]
+    values = [fn(s) for s in grid]
+    return grid, values, _scalar_pick(lo, fn(lo), grid, values)
+
+
+def _scalar_pick(best_s, best_v, grid, values):
+    for s, v in zip(grid, values):
+        if v < best_v:
+            best_s, best_v = s, v
+    return best_s, best_v
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-4, 5e-4])
+def test_array_grid_matches_scalar_grid(monkeypatch, eps):
+    # One improved solve at beta_small = 2^-10 runs all eight scans: cases
+    # 1-6 of its baseline, 61, and 62 sharpened by 2^-21.
+    scans = []
+    minimize = normal._minimize_scalar
+
+    def record(fn, fn_array, lo, hi):
+        scans.append((fn, fn_array, lo, hi))
+        return minimize(fn, fn_array, lo, hi)
+
+    monkeypatch.setattr(normal, "_minimize_scalar", record)
+    improved_case_constants(2**-10, eps=eps)
+    assert len(scans) == 8
+    for fn, fn_array, lo, hi in scans:
+        grid, values, pick = _scalar_scan(lo, hi, fn)
+        array_grid = normal._scan_grid(lo, hi)
+        array_values = fn_array(array_grid)
+        assert [x.hex() for x in array_grid.tolist()] == [x.hex() for x in grid]
+        assert [v.hex() for v in array_values.tolist()] == [v.hex() for v in values]
+        picked = normal._grid_pick(lo, fn(lo), array_grid, array_values)
+        assert [x.hex() for x in picked] == [x.hex() for x in pick]
+
+
+def test_grid_pick_keeps_the_first_least_value():
+    grid = np.array([1.0, 2.0, 3.0, 4.0])
+    pick = normal._grid_pick
+    # the first of tied minima
+    assert pick(0.0, 5.0, grid, np.array([3.0, 1.0, 2.0, 1.0])) == (2.0, 1.0)
+    # NaN never wins, and an all-NaN grid keeps lo
+    assert pick(0.0, 5.0, grid, np.array([math.nan, 2.0, math.nan, math.nan])) == (2.0, 2.0)
+    assert pick(0.0, 5.0, grid, np.full(4, math.nan)) == (0.0, 5.0)
+    # lo stays when nothing is strictly smaller than its value
+    assert pick(0.0, 1.0, grid, np.array([1.0, 2.0, 1.0, math.inf])) == (0.0, 1.0)
+    # -0.0 and 0.0 tie, so the first of them is kept with its sign
+    s, v = pick(0.0, 1.0, grid, np.array([2.0, 0.0, -0.0, 0.5]))
+    assert (s, v.hex()) == (2.0, (0.0).hex())
+
+
+SPECIAL = [-1.0, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf, math.nan]
+VALUES = st.sampled_from(SPECIAL)
+
+
+def test_elementwise_max_is_pythons_max():
+    pairs = [(a, b) for a in SPECIAL for b in SPECIAL]
+    got = normal._elementwise_max(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+    assert [v.hex() for v in got.tolist()] == [max(a, b).hex() for a, b in pairs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(VALUES, st.lists(VALUES, min_size=1, max_size=12))
+def test_grid_pick_matches_the_scalar_loop(v_lo, values):
+    grid = [float(i) for i in range(1, len(values) + 1)]
+    expected = _scalar_pick(0.0, v_lo, grid, values)
+    picked = normal._grid_pick(0.0, v_lo, np.array(grid), np.array(values))
+    assert [x.hex() for x in picked] == [x.hex() for x in expected]
 
 
 def test_case_constants_reject_bad_inputs():

@@ -149,6 +149,16 @@ def test_count_sign_solutions_zero_rows_checks_the_target():
         count_sign_solutions(empty, cap=4)
 
 
+def test_count_sign_solutions_zero_columns_checks_the_target():
+    empty = ExactMatrix.from_rows([[], []])
+    assert count_sign_solutions(empty) == 1
+    assert count_sign_solutions(empty, (0, 0)) == 1
+    assert count_sign_solutions(empty, (0, 1)) == 0
+    for target in ((), (0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="target vector length mismatch"):
+            count_sign_solutions(empty, target)
+
+
 def test_count_sign_solutions_kernel_bound():
     rng = random.Random(31)
     for _ in range(60):
