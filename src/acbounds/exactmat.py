@@ -66,7 +66,9 @@ class ExactMatrix:
         """Parse the shared matrix text format: "rows cols" then row lines."""
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         r, c = (int(tok) for tok in lines[0].split())
-        rows = [[int(tok) for tok in ln.split()] for ln in lines[1 : 1 + r]]
+        if len(lines) != 1 + r:
+            raise ValueError("header does not match matrix body")
+        rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
         m = ExactMatrix.from_rows(rows, cols=c)
         if m.rows != r or m.cols != c:
             raise ValueError("header does not match matrix body")
@@ -149,8 +151,10 @@ class SignMatrix:
         """Text format accepts '+'/'-' or '1'/'-1' tokens."""
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         r, c = (int(tok) for tok in lines[0].split())
+        if len(lines) != 1 + r:
+            raise ValueError("header does not match matrix body")
         rows = []
-        for ln in lines[1 : 1 + r]:
+        for ln in lines[1:]:
             row = []
             for tok in ln.split():
                 if tok in ("+", "+1", "1"):

@@ -4,6 +4,11 @@ and the numeric optimization of the six case constants.
 A target matrix N fixes the constraint M M^T - M^T M = N.  Building M row and
 column at a time turns each step into a linear system T_k x_k = N'_k over the
 undetermined sign entries; everything about those systems here is exact.  The
+exhaustive census (n <= 5) builds M that way, one hook (row k and column k) at
+a time: a level-by-level tree of int8 numpy arrays keeps, at each level, the
+children whose new equations hold, and is then pruned back to the partials
+that extend to a full solution.  Each leaf is rechecked against the
+commutator, and each live partial's step system against its children.  The
 case-constant solver works in normalized coordinates (s, t scaled by n), where
 the exponent functions are homogeneous of degree two.  Boundary cases have a
 closed-form restriction at each point and are scanned along their curve; the
@@ -109,13 +114,16 @@ class PartialMatrix:
 
     @staticmethod
     def from_full(m, k: int) -> "PartialMatrix":
+        """The step-k restriction of a full matrix: an ExactMatrix, a
+        SignMatrix, or a sequence of rows."""
         if hasattr(m, "to_exact"):
             m = m.to_exact()
-        n = m.rows
-        a = tuple(tuple(m.entries[i][:k]) for i in range(k))
-        b = tuple(tuple(m.entries[i][k:]) for i in range(k))
-        c = tuple(tuple(m.entries[i][:k]) for i in range(k, n))
-        diag = tuple(m.entries[i][i] for i in range(k, n))
+        rows = getattr(m, "entries", m)
+        n = len(rows)
+        a = tuple(tuple(rows[i][:k]) for i in range(k))
+        b = tuple(tuple(rows[i][k:]) for i in range(k))
+        c = tuple(tuple(rows[i][:k]) for i in range(k, n))
+        diag = tuple(rows[i][i] for i in range(k, n))
         return PartialMatrix(n, k, a, b, c, diag)
 
 
@@ -524,49 +532,96 @@ class PartialCensus:
 
 
 def _target_is_plausible(entries, n) -> bool:
-    # The commutator of any real matrix is symmetric with zero diagonal, and
-    # over sign matrices every entry is even.
+    # The commutator of any real matrix is symmetric with zero diagonal; over
+    # sign matrices every entry is even and a difference of two dot products
+    # of length n, so at most 2n in size.
     for i in range(n):
         if entries[i][i] != 0:
             return False
         for j in range(i + 1, n):
             if entries[i][j] != entries[j][i] or entries[i][j] % 2 != 0:
                 return False
+            if abs(entries[i][j]) > 2 * n:
+                return False
     return True
 
 
-def _enumerate_normals(n: int, target_entries):
-    """All sign matrices (as row tuples) whose commutator equals the target.
+def _sign_rows(m: int) -> np.ndarray:
+    """All 2^m sign vectors of length m, as the rows of an int8 array."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    return (1 - 2 * bits).astype(np.int8)
 
-    Row-product enumeration with early exit on the first violated entry
-    keeps the reject path to a handful of multiplications.
+
+# Children examined at once while the step tree grows; it bounds the size of
+# the int8 temporaries (n = 5 has up to 2.2 million candidates at one level).
+_TREE_CHUNK = 1 << 16
+
+
+def _children(nodes: np.ndarray, k: int, target: np.ndarray):
+    """Every level-k node with every sign of its hook (row k right of the
+    diagonal, column k below it), kept where the k equations
+    row_k . row_i - col_k . col_i = N_ki, i < k, hold.  Returns the kept
+    children and the index of each one's parent in `nodes`."""
+    n, free = nodes.shape[1], nodes.shape[1] - k - 1
+    hooks = _sign_rows(2 * free)
+    per_chunk = max(1, _TREE_CHUNK // len(hooks))
+    kept, parents = [nodes[:0]], [np.arange(0)]
+    for lo in range(0, len(nodes), per_chunk):
+        block = nodes[lo : lo + per_chunk]
+        kids = np.repeat(block, len(hooks), axis=0)
+        grid = kids.reshape(len(block), len(hooks), n, n)
+        grid[:, :, k, k + 1 :] = hooks[:, :free]
+        grid[:, :, k + 1 :, k] = hooks[:, free:]
+        row_dots = np.einsum("mt,mit->mi", kids[:, k], kids[:, :k])
+        col_dots = np.einsum("mt,mti->mi", kids[:, :, k], kids[:, :, :k])
+        keep = np.flatnonzero(np.all(row_dots - col_dots == target[k, :k], axis=1))
+        kept.append(kids[keep])
+        parents.append(lo + keep // len(hooks))
+    return np.concatenate(kept), np.concatenate(parents)
+
+
+def _step_tree(n: int, target_entries) -> list:
+    """The hook-by-hook build of the N-normal sign matrices, pruned to live nodes.
+
+    Level k holds the matrices with rows and columns 0..k-1 and the diagonal
+    filled in (zeros elsewhere) whose equations (j, i), i < j < k, hold.
+    Level 0 is the 2^n diagonals, level k+1 the `_children` of level k, and
+    level n the N-normal matrices.  Then every node without a level-n
+    descendant is dropped, so level k holds exactly the distinct k-partial
+    restrictions of the N-normal matrices.  Returns [(nodes, parent)] for
+    levels 0..n: nodes is an (L, n, n) int8 array and parent[j] the index
+    of node j's parent in the level above (None at level 0).  Entries are
+    +-1 and every dot product is at most n in size, so int8 is exact.
     """
-    from itertools import product
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    for rows in product(tuple(product((1, -1), repeat=n)), repeat=n):
-        ok = True
-        for i, j in pairs:
-            row_dot = sum(a * b for a, b in zip(rows[i], rows[j]))
-            col_dot = sum(rows[t][i] * rows[t][j] for t in range(n))
-            if row_dot - col_dot != target_entries[i][j]:
-                ok = False
-                break
-        if ok:
-            out.append(ExactMatrix.from_rows(rows))
-    return out
+    target = np.array(target_entries, dtype=np.int8)
+    diagonals = np.zeros((1 << n, n, n), dtype=np.int8)
+    diagonals[:, np.arange(n), np.arange(n)] = _sign_rows(n)
+    levels = [(diagonals, None)]
+    for k in range(n):
+        levels.append(_children(levels[-1][0], k, target))
+    # Prune backwards: a node lives if some node of the next level names it.
+    for k in range(n - 1, -1, -1):
+        nodes, parent = levels[k]
+        live = np.zeros(len(nodes), dtype=bool)
+        live[levels[k + 1][1]] = True
+        levels[k] = (nodes[live], None if parent is None else parent[live])
+        levels[k + 1] = (levels[k + 1][0], np.cumsum(live)[levels[k + 1][1]] - 1)
+    return levels
 
 
 def partial_census(n: int, n_target: ExactMatrix, budget: int = 1 << 26) -> PartialCensus:
     """Exhaustive census of step-k restrictions of commutator-constrained matrices.
 
-    Enumerates all 2^(n^2) sign matrices, keeps the ones with
-    M M^T - M^T M = N, and for each step k counts the distinct k-partial
-    restrictions.  Along the way it verifies, exactly, that every kept matrix
-    solves its own step systems and that the number of distinct step-(k+1)
-    extensions of a partial never exceeds the 2^(free - rank T_k) subspace
-    count of the step system.
+    Builds M hook by hook in the pruned step tree of `_step_tree`, whose
+    level k holds the distinct k-partial restrictions of the matrices with
+    M M^T - M^T M = N and whose level n holds those matrices; every leaf is
+    rechecked against the commutator.  For each live partial it assembles
+    the step system (T_k, N'_k) with `build_t_system` and verifies, exactly,
+    that the step vector of every live child solves it, and that the number
+    of children never exceeds the sign-solution count of the system, nor
+    that count the 2^(free - rank T_k) subspace count.  Rank and count are
+    computed once per distinct system.  Implausible targets give an empty
+    census without building the tree.
     """
     if n < 1 or n > 5:
         raise ValueError("census limited to n <= 5")
@@ -574,30 +629,35 @@ def partial_census(n: int, n_target: ExactMatrix, budget: int = 1 << 26) -> Part
         raise BudgetExceededError(f"2^{n*n} matrices exceed budget {budget}")
     if n_target.rows != n or n_target.cols != n:
         raise ValueError("target dimension mismatch")
-    if _target_is_plausible(n_target.entries, n):
-        normals = _enumerate_normals(n, n_target.entries)
-    else:
-        normals = []
-    partial_counts = {n: len(normals)}
+    if not _target_is_plausible(n_target.entries, n):
+        return PartialCensus(n, 0, {k: 0 for k in (n, *range(1, n))}, True, True)
+    levels = _step_tree(n, n_target.entries)
+    leaves = levels[n][0]
+    flip = leaves.transpose(0, 2, 1)
+    if not np.all(leaves @ flip - flip @ leaves == np.array(n_target.entries, dtype=np.int8)):
+        raise AssertionError("a step-tree leaf fails the commutator identity")
+    partial_counts = {k: len(levels[k][0]) for k in (n, *range(1, n))}
     roundtrip_ok = True
     extension_ok = True
+    solved = {}
     for k in range(1, n):
-        partials = {}
-        for m in normals:
-            partials.setdefault(PartialMatrix.from_full(m, k), []).append(m)
-        partial_counts[k] = len(partials)
-        for p, members in partials.items():
-            t_k, nprime = build_t_system(p, n_target)
-            free = 2 * (n - k - 1)
-            allowed = 1 << (free - rank(t_k))
-            extensions = set()
-            for m in members:
-                x = step_vector(m, k)
-                extensions.add(x)
-                lhs = tuple(sum(t_k.entries[i][j] * x[j] for j in range(free)) for i in range(k))
-                if lhs != nprime:
-                    roundtrip_ok = False
-            solutions = count_sign_solutions(t_k, nprime)
-            if len(extensions) > solutions or solutions > allowed:
+        free = 2 * (n - k - 1)
+        nodes = levels[k][0]
+        kids, parent = levels[k + 1]
+        t_all = np.empty((len(nodes), k, free), dtype=np.int64)
+        rhs = np.empty((len(nodes), k), dtype=np.int64)
+        children = np.bincount(parent, minlength=len(nodes)).tolist()
+        for j, extensions in enumerate(children):
+            t_k, nprime = build_t_system(PartialMatrix.from_full(nodes[j].tolist(), k), n_target)
+            t_all[j], rhs[j] = t_k.entries, nprime
+            key = (t_k.entries, nprime)
+            if key not in solved:
+                solved[key] = (rank(t_k), count_sign_solutions(t_k, nprime))
+            t_rank, solutions = solved[key]
+            if not extensions <= solutions <= 1 << (free - t_rank):
                 extension_ok = False
-    return PartialCensus(n, len(normals), partial_counts, roundtrip_ok, extension_ok)
+        # The step vector of each child: its new row of B, then its negated new column of C.
+        steps = np.concatenate([kids[:, k, k + 1 :], -kids[:, k + 1 :, k]], axis=1)
+        if not np.array_equal(np.einsum("cif,cf->ci", t_all[parent], steps), rhs[parent]):
+            roundtrip_ok = False
+    return PartialCensus(n, len(leaves), partial_counts, roundtrip_ok, extension_ok)

@@ -99,6 +99,31 @@ def test_normal_check_and_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+def test_normal_matrix_files_with_extra_rows_are_usage_errors(tmp_path, capsys):
+    extra = tmp_path / "extra.txt"
+    extra.write_text("2 2\n0 2\n2 0\n5 5\n")
+    code, out, err = run_cli(capsys, "normal", "census", "--n", "2", "--target", str(extra))
+    assert code == 2 and out == ""
+    assert "header does not match matrix body" in err
+    signs = tmp_path / "signs.txt"
+    signs.write_text("2 2\n1 1\n-1 1\n1 1\n")
+    code, out, _ = run_cli(capsys, "normal", "check", "--matrix", str(signs))
+    assert code == 2 and out == ""
+
+
+def test_normal_census_fails_a_shifted_step_system(monkeypatch, capsys):
+    build = normal.build_t_system
+
+    def shifted(p, target):
+        t_k, nprime = build(p, target)
+        return t_k, (nprime[0] + 2,) + nprime[1:]
+
+    monkeypatch.setattr(normal, "build_t_system", shifted)
+    code, out, _ = run_cli(capsys, "normal", "census", "--n", "3")
+    assert code == 1
+    assert json.loads(out)["roundtrip_ok"] is False
+
+
 def test_normal_constants_shape(capsys):
     code, out, _ = run_cli(capsys, "normal", "constants", "--beta-small", "0.0009765625")
     body = json.loads(out)

@@ -154,6 +154,15 @@ def test_text_and_json_round_trip():
     assert ExactMatrix.from_json(m.to_json()) == m
 
 
+def test_text_parsers_reject_a_body_that_does_not_match_the_header():
+    for text in ("2 2\n0 2\n2 0\n5 5\n", "2 2\n0 2\n"):
+        with pytest.raises(ValueError, match="header does not match matrix body"):
+            ExactMatrix.from_text(text)
+    for text in ("2 2\n+ -\n- +\n+ +\n", "2 2\n+ -\n"):
+        with pytest.raises(ValueError, match="header does not match matrix body"):
+            SignMatrix.from_text(text)
+
+
 def test_sign_matrix_tokens_and_packing():
     s = SignMatrix.from_text("2 4\n+ + - -\n1 -1 1 -1\n")
     assert s.to_exact() == ExactMatrix.from_rows([[1, 1, -1, -1], [1, -1, 1, -1]])

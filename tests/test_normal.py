@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from acbounds import normal
 from acbounds.exactmat import ExactMatrix
+from acbounds.exactmat import rank
 from acbounds.normal import (
+    PartialCensus,
     PartialMatrix,
     RankProfile,
     build_t_system,
@@ -27,6 +29,7 @@ from acbounds.normal import (
     solve_case_constants,
     step_vector,
 )
+from acbounds.oracle import count_sign_solutions
 
 ZERO2 = ExactMatrix.from_rows([[0, 0], [0, 0]])
 ZERO3 = ExactMatrix.from_rows([[0] * 3 for _ in range(3)])
@@ -430,3 +433,150 @@ def test_partial_census_lower_bound_from_symmetric_matrices():
     for n, zero in ((2, ZERO2), (3, ZERO3)):
         census = partial_census(n, zero)
         assert census.normal_count >= 1 << (n * (n + 1) // 2)
+
+
+ZERO5 = ExactMatrix.from_rows([[0] * 5 for _ in range(5)])
+
+
+def _oracle_normals(n, target):
+    """Brute-force filter: every sign matrix (as row tuples) with
+    M M^T - M^T M = target, checked entry by entry with early exit."""
+    from itertools import product
+
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    out = []
+    for rows in product(tuple(product((1, -1), repeat=n)), repeat=n):
+        for i, j in pairs:
+            row_dot = sum(a * b for a, b in zip(rows[i], rows[j]))
+            col_dot = sum(rows[t][i] * rows[t][j] for t in range(n))
+            if row_dot - col_dot != target.entries[i][j]:
+                break
+        else:
+            out.append(rows)
+    return out
+
+
+def _oracle_census(n, target, normals):
+    """The census by regrouping the oracle's matrices by their k-partials."""
+    partial_counts = {n: len(normals)}
+    roundtrip_ok = extension_ok = True
+    for k in range(1, n):
+        partials = {}
+        for rows in normals:
+            partials.setdefault(PartialMatrix.from_full(rows, k), []).append(rows)
+        partial_counts[k] = len(partials)
+        free = 2 * (n - k - 1)
+        for p, members in partials.items():
+            t_k, nprime = build_t_system(p, target)
+            extensions = set()
+            for rows in members:
+                x = step_vector(ExactMatrix.from_rows(rows), k)
+                extensions.add(x)
+                lhs = tuple(sum(t_k.entries[i][j] * x[j] for j in range(free)) for i in range(k))
+                roundtrip_ok &= lhs == nprime
+            solutions = count_sign_solutions(t_k, nprime)
+            extension_ok &= len(extensions) <= solutions <= 1 << (free - rank(t_k))
+    return PartialCensus(n, len(normals), partial_counts, roundtrip_ok, extension_ok)
+
+
+def _tree_leaves(n, target):
+    return [tuple(map(tuple, m)) for m in normal._step_tree(n, target.entries)[n][0].tolist()]
+
+
+def _assert_tree_matches_oracle(n, target):
+    normals = _oracle_normals(n, target)
+    leaves = _tree_leaves(n, target)
+    assert len(set(leaves)) == len(leaves)
+    assert set(leaves) == set(normals)
+    census = partial_census(n, target)
+    assert census == _oracle_census(n, target, normals)
+    regrouped = {k: len({PartialMatrix.from_full(m, k) for m in leaves}) for k in range(1, n)}
+    assert census.partial_counts == {**regrouped, n: len(leaves)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_step_tree_matches_oracle_on_zero_target(n):
+    _assert_tree_matches_oracle(n, ExactMatrix.from_rows([[0] * n for _ in range(n)]))
+
+
+SIGN_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(SIGN_MATRICES)
+def test_step_tree_matches_oracle_on_commutators(rows):
+    _assert_tree_matches_oracle(len(rows), commutator(ExactMatrix.from_rows(rows)))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0, 2], [2, 2]],
+        [[0, 2], [-2, 0]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, 8], [8, 0]],
+        [[0, 256], [256, 0]],
+    ],
+)
+def test_implausible_targets_give_an_empty_census_without_a_tree(monkeypatch, entries):
+    n = len(entries)
+    target = ExactMatrix.from_rows(entries)
+    assert _oracle_normals(n, target) == []
+
+    def no_tree(*args):
+        raise AssertionError("the step tree was built")
+
+    monkeypatch.setattr(normal, "_step_tree", no_tree)
+    census = partial_census(n, target)
+    assert census == PartialCensus(n, 0, {k: 0 for k in range(1, n + 1)}, True, True)
+
+
+def test_roundtrip_check_catches_a_shifted_step_system(monkeypatch):
+    build = normal.build_t_system
+
+    def shifted(p, target):
+        t_k, nprime = build(p, target)
+        return t_k, (nprime[0] + 2,) + nprime[1:]
+
+    monkeypatch.setattr(normal, "build_t_system", shifted)
+    assert not partial_census(3, ZERO3).roundtrip_ok
+
+
+def test_extension_bound_check_catches_a_low_solution_count(monkeypatch):
+    monkeypatch.setattr(normal, "count_sign_solutions", lambda t_k, nprime: 0)
+    census = partial_census(3, ZERO3)
+    assert census.roundtrip_ok
+    assert not census.extension_bound_ok
+
+
+def test_partial_census_n5_zero_target():
+    census = partial_census(5, ZERO5)
+    assert census.normal_count == 49792
+    assert census.partial_counts == {1: 2336, 2: 14784, 3: 32000, 4: 49792, 5: 49792}
+    assert census.roundtrip_ok and census.extension_bound_ok
+
+
+def test_n5_zero_target_leaves_are_closed_under_the_symmetries():
+    # -M, M^T, P M P^T and D M D keep M M^T - M^T M = 0; adjacent
+    # transpositions and single sign flips generate every P and D.
+    leaves = normal._step_tree(5, ZERO5.entries)[5][0]
+    assert len(leaves) == 49792
+
+    def as_set(mats):
+        return {m.tobytes() for m in mats}
+
+    found = as_set(leaves)
+    assert as_set(-leaves) == found
+    assert as_set(leaves.transpose(0, 2, 1)) == found
+    for i in range(4):
+        order = list(range(5))
+        order[i], order[i + 1] = order[i + 1], order[i]
+        assert as_set(leaves[:, order][:, :, order]) == found
+    for i in range(5):
+        flip = np.ones(5, dtype=np.int8)
+        flip[i] = -1
+        assert as_set(leaves * flip[:, None] * flip[None, :]) == found
