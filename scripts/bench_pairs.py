@@ -11,7 +11,10 @@ for BENCHMARK.json's `run_seconds` once in the export and once in this
 checkout, with the same seed (101 + pair index), alternating which side goes
 first.  One traced run per side follows, for the per-layer numbers.  The
 file records every run's output, and per workload and side the median and
-quartiles of each end-to-end metric and the number of pairs the change won.
+quartiles of each end-to-end metric, the number of pairs the change won, and
+`over_bound`: the metrics whose change median is worse than the base median
+by more than the metric's `bound` in BENCHMARK.json (a relative bound; the
+list is also printed to stderr).
 The change side is named by its commit and, when the checkout differs from
 that commit, by the SHA-256 of `git diff HEAD`.
 Runs are sequential: one benchmark process at a time.
@@ -66,6 +69,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower_is_better = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     base_sha = git("rev-parse", args.base).decode().strip()
     diff = git("diff", "HEAD")
@@ -106,12 +110,20 @@ def main(argv=None) -> int:
                     and by_pair[p, "change"] != by_pair[p, "base"]
                     for p in range(PAIRS)
                 )
+            over_bound = []
+            for m, lower in lower_is_better.items():
+                base, change = summary["base"][m]["median"], summary["change"][m]["median"]
+                worse = change - base if lower else base - change
+                if worse > bounds[m] * abs(base):
+                    over_bound.append(m)
+            print(f"{workload} over_bound: {over_bound}", file=sys.stderr)
             traced = {side: run_bench(path, workload, 101, seconds, 1)
                       for side, path in sides.items()}
             report["workloads"][workload] = {
                 "runs": runs,
                 "summary": summary,
                 "change_wins": wins,
+                "over_bound": over_bound,
                 "all_correct": all(r["correct"] and r["failed"] == 0 for r in runs),
                 "trace": traced,
             }

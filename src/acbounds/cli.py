@@ -63,7 +63,11 @@ def _load_matrix(path: str) -> ExactMatrix:
     try:
         return ExactMatrix.from_text(text)
     except ValueError:
-        return SignMatrix.from_text(text).to_exact()
+        # Only a bare '+' or '-' token makes the text a sign matrix rather
+        # than an integer one with a fault in it.
+        if not {"+", "-"} & set(text.split()):
+            raise
+    return SignMatrix.from_text(text).to_exact()
 
 
 def _load_system(path: str) -> VectorSystem:
@@ -287,7 +291,7 @@ def _cmd_normal(args) -> int:
             target = _load_matrix(args.target)
         else:
             target = ExactMatrix.from_rows([[0] * args.n for _ in range(args.n)])
-        census = partial_census(args.n, target, budget=args.budget)
+        census = partial_census(args.n, target)
         report = census.to_json()
         _emit(report, args.format)
         return EXIT_OK if census.roundtrip_ok and census.extension_bound_ok else EXIT_VERIFICATION
@@ -392,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--n", type=int, default=3)
     p_norm.add_argument("--eps", type=float, default=1e-6)
     p_norm.add_argument("--beta-small", type=float, default=None)
-    p_norm.add_argument("--budget", type=int, default=1 << 26)
     p_norm.set_defaults(func=_cmd_normal)
 
     p_verify = sub.add_parser("verify", help="seeded randomized verification sweeps")

@@ -94,7 +94,10 @@ class LatticeDistribution:
         }
 
     def mass_at(self, point) -> Fraction:
-        return Fraction(self.weights.get(tuple(point), 0), self.denom)
+        point = tuple(point)
+        if len(point) != self.dimension:
+            raise ValueError("point dimension mismatch")
+        return Fraction(self.weights.get(point, 0), self.denom)
 
     def max_atom(self) -> Fraction:
         return Fraction(max(self.weights.values()), self.denom)
@@ -116,6 +119,8 @@ class LatticeDistribution:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         center = tuple(Fraction(c) for c in center)
+        if len(center) != self.dimension:
+            raise ValueError("center dimension mismatch")
         # Scale by the centers' common denominator so distances stay integral.
         scale = math.lcm(*(c.denominator for c in center))
         scaled = tuple(int(c * scale) for c in center)

@@ -22,6 +22,17 @@ class NonconvergenceError(RuntimeError):
     """An iterative certification failed to reach the requested accuracy."""
 
 
+def _text_body(text):
+    """Split the shared matrix text format into (rows, cols, body lines)."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix text")
+    r, c = (int(tok) for tok in lines[0].split())
+    if len(lines) != 1 + r:
+        raise ValueError("header does not match matrix body")
+    return r, c, lines[1:]
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
     """Dense integer matrix.  `entries` is a tuple of row tuples.
@@ -64,11 +75,8 @@ class ExactMatrix:
     @staticmethod
     def from_text(text) -> "ExactMatrix":
         """Parse the shared matrix text format: "rows cols" then row lines."""
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        r, c = (int(tok) for tok in lines[0].split())
-        if len(lines) != 1 + r:
-            raise ValueError("header does not match matrix body")
-        rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
+        r, c, body = _text_body(text)
+        rows = [[int(tok) for tok in ln.split()] for ln in body]
         m = ExactMatrix.from_rows(rows, cols=c)
         if m.rows != r or m.cols != c:
             raise ValueError("header does not match matrix body")
@@ -149,12 +157,9 @@ class SignMatrix:
     @staticmethod
     def from_text(text) -> "SignMatrix":
         """Text format accepts '+'/'-' or '1'/'-1' tokens."""
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        r, c = (int(tok) for tok in lines[0].split())
-        if len(lines) != 1 + r:
-            raise ValueError("header does not match matrix body")
+        r, c, body = _text_body(text)
         rows = []
-        for ln in lines[1:]:
+        for ln in body:
             row = []
             for tok in ln.split():
                 if tok in ("+", "+1", "1"):

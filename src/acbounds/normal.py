@@ -5,19 +5,12 @@ A target matrix N fixes the constraint M M^T - M^T M = N.  Building M row and
 column at a time turns each step into a linear system T_k x_k = N'_k over the
 undetermined sign entries; everything about those systems here is exact.  The
 exhaustive census (n <= 5) builds M that way, one hook (row k and column k) at
-a time: a level-by-level tree of int8 numpy arrays keeps, at each level, the
-children whose new equations hold, and is then pruned back to the partials
-that extend to a full solution.  Each leaf is rechecked against the
-commutator, and each live partial's step system against its children.  The
-case-constant solver works in normalized coordinates (s, t scaled by n), where
-the exponent functions are homogeneous of degree two.  Boundary cases have a
-closed-form restriction at each point and are scanned along their curve; the
-crossing cases are the least -g on a closed-form curve gap(s, t) = 0, scanned
-once in t, so no case needs a fixed-point loop.  Each scan evaluates its
-GRID_STEP grid as one numpy float64 array pass and refines the grid's best
-point by scalar golden-section search; the array pass repeats the scalar
-function's IEEE operations in the same order, so the result is bit-identical
-to a scalar scan.
+a time, as a level-by-level tree of int8 numpy arrays pruned to the partials
+that extend to a full solution; the step systems of a level are slices of its
+array, checked against the children.  The case-constant solver works in
+normalized coordinates (s, t scaled by n), where the exponent functions are
+homogeneous of degree two, and scans every case along a closed-form curve, so
+no case needs a fixed-point loop (see `solve_case_constants`).
 """
 
 from __future__ import annotations
@@ -609,55 +602,59 @@ def _step_tree(n: int, target_entries) -> list:
     return levels
 
 
-def partial_census(n: int, n_target: ExactMatrix, budget: int = 1 << 26) -> PartialCensus:
+def _step_systems(nodes: np.ndarray, k: int, target: np.ndarray):
+    """The step systems (T_k, N'_k) of the level-k nodes, as int8 arrays of
+    shape (L, k, free) and (L, k).  Row i of T_k is row i right of column k,
+    then column i below row k; N'_k is target row k less the row-k dots of the
+    (k+1) x (k+1) corner plus its column-k dots (hook k is still zero, so the
+    full dots are the corner's).  |N'| <= 2n + 2(k + 1), so int8 is exact."""
+    t_k = np.concatenate([nodes[:, :k, k + 1 :], nodes[:, k + 1 :, :k].transpose(0, 2, 1)], axis=2)
+    row_dots = np.einsum("mt,mit->mi", nodes[:, k], nodes[:, :k])
+    col_dots = np.einsum("mt,mti->mi", nodes[:, :, k], nodes[:, :, :k])
+    return t_k, target[k, :k] - row_dots + col_dots
+
+
+def partial_census(n: int, n_target: ExactMatrix) -> PartialCensus:
     """Exhaustive census of step-k restrictions of commutator-constrained matrices.
 
     Builds M hook by hook in the pruned step tree of `_step_tree`, whose
     level k holds the distinct k-partial restrictions of the matrices with
     M M^T - M^T M = N and whose level n holds those matrices; every leaf is
-    rechecked against the commutator.  For each live partial it assembles
-    the step system (T_k, N'_k) with `build_t_system` and verifies, exactly,
-    that the step vector of every live child solves it, and that the number
-    of children never exceeds the sign-solution count of the system, nor
-    that count the 2^(free - rank T_k) subspace count.  Rank and count are
-    computed once per distinct system.  Implausible targets give an empty
-    census without building the tree.
+    rechecked against the commutator.  The step systems (T_k, N'_k) of each
+    level come from `_step_systems`; it is verified, exactly, that every live
+    child's step vector solves its parent's system, and, once per distinct
+    system, that no partial with it has more children than its sign-solution
+    count, nor that count exceeds 2^(free - rank T_k).  Implausible targets
+    give an empty census without building the tree.
     """
     if n < 1 or n > 5:
         raise ValueError("census limited to n <= 5")
-    if (1 << (n * n)) > budget:
-        raise BudgetExceededError(f"2^{n*n} matrices exceed budget {budget}")
     if n_target.rows != n or n_target.cols != n:
         raise ValueError("target dimension mismatch")
     if not _target_is_plausible(n_target.entries, n):
         return PartialCensus(n, 0, {k: 0 for k in (n, *range(1, n))}, True, True)
     levels = _step_tree(n, n_target.entries)
+    target = np.array(n_target.entries, dtype=np.int8)
     leaves = levels[n][0]
     flip = leaves.transpose(0, 2, 1)
-    if not np.all(leaves @ flip - flip @ leaves == np.array(n_target.entries, dtype=np.int8)):
+    if not np.all(leaves @ flip - flip @ leaves == target):
         raise AssertionError("a step-tree leaf fails the commutator identity")
     partial_counts = {k: len(levels[k][0]) for k in (n, *range(1, n))}
-    roundtrip_ok = True
-    extension_ok = True
-    solved = {}
+    roundtrip_ok = extension_ok = True
     for k in range(1, n):
         free = 2 * (n - k - 1)
         nodes = levels[k][0]
         kids, parent = levels[k + 1]
-        t_all = np.empty((len(nodes), k, free), dtype=np.int64)
-        rhs = np.empty((len(nodes), k), dtype=np.int64)
-        children = np.bincount(parent, minlength=len(nodes)).tolist()
-        for j, extensions in enumerate(children):
-            t_k, nprime = build_t_system(PartialMatrix.from_full(nodes[j].tolist(), k), n_target)
-            t_all[j], rhs[j] = t_k.entries, nprime
-            key = (t_k.entries, nprime)
-            if key not in solved:
-                solved[key] = (rank(t_k), count_sign_solutions(t_k, nprime))
-            t_rank, solutions = solved[key]
-            if not extensions <= solutions <= 1 << (free - t_rank):
-                extension_ok = False
+        t_k, nprime = _step_systems(nodes, k, target)
         # The step vector of each child: its new row of B, then its negated new column of C.
         steps = np.concatenate([kids[:, k, k + 1 :], -kids[:, k + 1 :, k]], axis=1)
-        if not np.array_equal(np.einsum("cif,cf->ci", t_all[parent], steps), rhs[parent]):
-            roundtrip_ok = False
+        roundtrip_ok &= np.array_equal(np.einsum("cif,cf->ci", t_k[parent], steps), nprime[parent])
+        keys = np.concatenate([t_k.reshape(len(nodes), -1), nprime], axis=1)
+        _, first, which = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        most = np.zeros(len(first), dtype=np.int64)
+        np.maximum.at(most, which, np.bincount(parent, minlength=len(nodes)))
+        for j, extensions in zip(first.tolist(), most.tolist()):
+            t_exact = ExactMatrix.from_rows(t_k[j].tolist(), cols=free)
+            solutions = count_sign_solutions(t_exact, nprime[j].tolist())
+            extension_ok &= extensions <= solutions <= 1 << (free - rank(t_exact))
     return PartialCensus(n, len(leaves), partial_counts, roundtrip_ok, extension_ok)

@@ -72,9 +72,10 @@ def test_oracle_count_matrix_file(tmp_path, capsys):
 
 def test_oracle_count_sign_tokens(tmp_path, capsys):
     path = tmp_path / "mat.txt"
-    path.write_text("2 4\n+ + + +\n+ + - -\n")
-    code, out, _ = run_cli(capsys, "oracle", "count", "--matrix", str(path))
-    assert json.loads(out)["count"] == "4"
+    for body in ("+ + + +\n+ + - -\n", "+ 1 + +1\n1 + - -1\n"):
+        path.write_text("2 4\n" + body)
+        code, out, _ = run_cli(capsys, "oracle", "count", "--matrix", str(path))
+        assert code == 0 and json.loads(out)["count"] == "4"
 
 
 def test_rank_partition_roundtrip(tmp_path, capsys):
@@ -111,14 +112,34 @@ def test_normal_matrix_files_with_extra_rows_are_usage_errors(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
+def test_matrix_file_errors_name_their_cause(tmp_path, capsys):
+    # An integer file with a bad token reports the integer parser's error,
+    # not the sign parser's complaint about its first token.
+    typo = tmp_path / "typo.txt"
+    typo.write_text("2 2\n0 x\n2 0\n")
+    code, out, err = run_cli(capsys, "normal", "census", "--n", "2", "--target", str(typo))
+    assert code == 2 and out == ""
+    assert "'x'" in json.loads(err)["error"]
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    for argv in (
+        ("oracle", "count", "--matrix", str(empty)),
+        ("normal", "census", "--n", "2", "--target", str(empty)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "empty matrix text"
+
+
 def test_normal_census_fails_a_shifted_step_system(monkeypatch, capsys):
-    build = normal.build_t_system
+    systems = normal._step_systems
 
-    def shifted(p, target):
-        t_k, nprime = build(p, target)
-        return t_k, (nprime[0] + 2,) + nprime[1:]
+    def shifted(nodes, k, target):
+        t_k, nprime = systems(nodes, k, target)
+        nprime[:, 0] += 2
+        return t_k, nprime
 
-    monkeypatch.setattr(normal, "build_t_system", shifted)
+    monkeypatch.setattr(normal, "_step_systems", shifted)
     code, out, _ = run_cli(capsys, "normal", "census", "--n", "3")
     assert code == 1
     assert json.loads(out)["roundtrip_ok"] is False
@@ -201,6 +222,9 @@ def test_usage_exit_code(capsys):
     code, _, _ = run_cli(capsys, "--workers", "2", "hadamard", "census")
     assert code == 2
     code, _, _ = run_cli(capsys, "hadamard", "verify", "--sample", "3")
+    assert code == 2
+    # The census budget counted 2^(n^2) matrices, which no longer measures its work.
+    code, _, _ = run_cli(capsys, "normal", "census", "--n", "2", "--budget", "5")
     assert code == 2
 
 

@@ -172,6 +172,18 @@ def test_negative_radius_rejected():
     assert TWO_COINS.ball_mass((0,), 0) == Fraction(1, 2)
 
 
+def test_wrong_length_points_and_centers_rejected():
+    p = LatticeDistribution(2, {(0, 0): Fraction(1, 2), (0, 4): Fraction(1, 2)})
+    for query in (lambda: p.mass_at((0,)), lambda: p.ball_mass((0, 0, 0), 1)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            query()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        replication_sbp_check([p] * 4, (4, 4, 4, 4), 0, (0,))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        replication_atom_check([p] * 4, (4, 4, 4, 4), (0,))
+    assert replication_sbp_check([p] * 4, (4, 4, 4, 4), 0, (0, 0))[0] == Fraction(1, 16)
+
+
 def test_json_round_trip():
     p = LatticeDistribution(2, {(0, 1): Fraction(1, 3), (-1, 2): Fraction(2, 3)})
     assert LatticeDistribution.from_json(p.to_json()) == p

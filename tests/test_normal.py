@@ -483,7 +483,22 @@ def _tree_leaves(n, target):
     return [tuple(map(tuple, m)) for m in normal._step_tree(n, target.entries)[n][0].tolist()]
 
 
+def _assert_step_systems_match_build_t_system(n, target):
+    """`_step_systems` on every live node of every level against the scalar
+    `build_t_system` of the node's partial."""
+    levels = normal._step_tree(n, target.entries)
+    array = np.array(target.entries, dtype=np.int8)
+    for k in range(1, n):
+        nodes = levels[k][0]
+        t_k, nprime = normal._step_systems(nodes, k, array)
+        assert t_k.shape == (len(nodes), k, 2 * (n - k - 1)) and nprime.shape == (len(nodes), k)
+        for node, t_rows, rhs in zip(nodes.tolist(), t_k.tolist(), nprime.tolist()):
+            t_ref, rhs_ref = build_t_system(PartialMatrix.from_full(node, k), target)
+            assert tuple(map(tuple, t_rows)) == t_ref.entries and tuple(rhs) == rhs_ref
+
+
 def _assert_tree_matches_oracle(n, target):
+    _assert_step_systems_match_build_t_system(n, target)
     normals = _oracle_normals(n, target)
     leaves = _tree_leaves(n, target)
     assert len(set(leaves)) == len(leaves)
@@ -536,13 +551,14 @@ def test_implausible_targets_give_an_empty_census_without_a_tree(monkeypatch, en
 
 
 def test_roundtrip_check_catches_a_shifted_step_system(monkeypatch):
-    build = normal.build_t_system
+    systems = normal._step_systems
 
-    def shifted(p, target):
-        t_k, nprime = build(p, target)
-        return t_k, (nprime[0] + 2,) + nprime[1:]
+    def shifted(nodes, k, target):
+        t_k, nprime = systems(nodes, k, target)
+        nprime[:, 0] += 2
+        return t_k, nprime
 
-    monkeypatch.setattr(normal, "build_t_system", shifted)
+    monkeypatch.setattr(normal, "_step_systems", shifted)
     assert not partial_census(3, ZERO3).roundtrip_ok
 
 
@@ -558,6 +574,10 @@ def test_partial_census_n5_zero_target():
     assert census.normal_count == 49792
     assert census.partial_counts == {1: 2336, 2: 14784, 3: 32000, 4: 49792, 5: 49792}
     assert census.roundtrip_ok and census.extension_bound_ok
+
+
+def test_step_systems_match_build_t_system_on_n5_zero_target():
+    _assert_step_systems_match_build_t_system(5, ZERO5)
 
 
 def test_n5_zero_target_leaves_are_closed_under_the_symmetries():
