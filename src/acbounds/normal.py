@@ -550,6 +550,12 @@ def _sign_rows(m: int) -> np.ndarray:
 _TREE_CHUNK = 1 << 16
 
 
+def _hook_dots(m: np.ndarray, k: int) -> np.ndarray:
+    """row_k . row_i - col_k . col_i, i < k, for each matrix of the stack m."""
+    row_dots = np.einsum("mt,mit->mi", m[:, k], m[:, :k])
+    return row_dots - np.einsum("mt,mti->mi", m[:, :, k], m[:, :, :k])
+
+
 def _children(nodes: np.ndarray, k: int, target: np.ndarray):
     """Every level-k node with every sign of its hook (row k right of the
     diagonal, column k below it), kept where the k equations
@@ -565,9 +571,7 @@ def _children(nodes: np.ndarray, k: int, target: np.ndarray):
         grid = kids.reshape(len(block), len(hooks), n, n)
         grid[:, :, k, k + 1 :] = hooks[:, :free]
         grid[:, :, k + 1 :, k] = hooks[:, free:]
-        row_dots = np.einsum("mt,mit->mi", kids[:, k], kids[:, :k])
-        col_dots = np.einsum("mt,mti->mi", kids[:, :, k], kids[:, :, :k])
-        keep = np.flatnonzero(np.all(row_dots - col_dots == target[k, :k], axis=1))
+        keep = np.flatnonzero(np.all(_hook_dots(kids, k) == target[k, :k], axis=1))
         kept.append(kids[keep])
         parents.append(lo + keep // len(hooks))
     return np.concatenate(kept), np.concatenate(parents)
@@ -609,9 +613,7 @@ def _step_systems(nodes: np.ndarray, k: int, target: np.ndarray):
     (k+1) x (k+1) corner plus its column-k dots (hook k is still zero, so the
     full dots are the corner's).  |N'| <= 2n + 2(k + 1), so int8 is exact."""
     t_k = np.concatenate([nodes[:, :k, k + 1 :], nodes[:, k + 1 :, :k].transpose(0, 2, 1)], axis=2)
-    row_dots = np.einsum("mt,mit->mi", nodes[:, k], nodes[:, :k])
-    col_dots = np.einsum("mt,mti->mi", nodes[:, :, k], nodes[:, :, :k])
-    return t_k, target[k, :k] - row_dots + col_dots
+    return t_k, target[k, :k] - _hook_dots(nodes, k)
 
 
 def partial_census(n: int, n_target: ExactMatrix) -> PartialCensus:
@@ -649,7 +651,7 @@ def partial_census(n: int, n_target: ExactMatrix) -> PartialCensus:
         # The step vector of each child: its new row of B, then its negated new column of C.
         steps = np.concatenate([kids[:, k, k + 1 :], -kids[:, k + 1 :, k]], axis=1)
         roundtrip_ok &= np.array_equal(np.einsum("cif,cf->ci", t_k[parent], steps), nprime[parent])
-        keys = np.concatenate([t_k.reshape(len(nodes), -1), nprime], axis=1)
+        keys = np.concatenate([t_k.reshape(len(nodes), k * free), nprime], axis=1)
         _, first, which = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         most = np.zeros(len(first), dtype=np.int64)
         np.maximum.at(most, which, np.bincount(parent, minlength=len(nodes)))

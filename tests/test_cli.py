@@ -131,6 +131,18 @@ def test_matrix_file_errors_name_their_cause(tmp_path, capsys):
         assert json.loads(err)["error"] == "empty matrix text"
 
 
+def test_normal_census_of_a_target_without_normals(tmp_path, capsys):
+    # Plausible (even, symmetric, zero diagonal) but no 2 x 2 commutator has
+    # an entry 2, so the step tree prunes to empty levels.
+    target = tmp_path / "target.txt"
+    target.write_text("2 2\n0 2\n2 0\n")
+    code, out, _ = run_cli(capsys, "normal", "census", "--n", "2", "--target", str(target))
+    assert code == 0
+    result = json.loads(out)
+    assert result["normal_count"] == 0 and result["partial_counts"] == {"1": 0, "2": 0}
+    assert result["roundtrip_ok"] is True and result["extension_bound_ok"] is True
+
+
 def test_normal_census_fails_a_shifted_step_system(monkeypatch, capsys):
     systems = normal._step_systems
 

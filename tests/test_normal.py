@@ -550,6 +550,27 @@ def test_implausible_targets_give_an_empty_census_without_a_tree(monkeypatch, en
     assert census == PartialCensus(n, 0, {k: 0 for k in range(1, n + 1)}, True, True)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0, 2], [2, 0]],
+        [[0, 2, 0], [2, 0, 0], [0, 0, 0]],
+        [[0, 2, 2], [2, 0, 2], [2, 2, 0]],
+        [[0, 6, 0, 0], [6, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    ],
+)
+def test_plausible_targets_without_normals_give_an_empty_census(entries):
+    # These pass the plausibility filter, so the tree is built and pruned to
+    # empty levels; the census over those levels must still come out empty.
+    n = len(entries)
+    target = ExactMatrix.from_rows(entries)
+    assert normal._target_is_plausible(target.entries, n)
+    _assert_tree_matches_oracle(n, target)
+    assert _oracle_normals(n, target) == []
+    census = partial_census(n, target)
+    assert census == PartialCensus(n, 0, {k: 0 for k in range(1, n + 1)}, True, True)
+
+
 def test_roundtrip_check_catches_a_shifted_step_system(monkeypatch):
     systems = normal._step_systems
 
