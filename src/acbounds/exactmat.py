@@ -86,7 +86,10 @@ class ExactMatrix:
     def from_json(obj) -> "ExactMatrix":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        m = ExactMatrix.from_rows(obj["entries"], cols=obj.get("cols"))
+        for key in ("rows", "cols", "entries"):
+            if key not in obj:
+                raise ValueError(f"matrix JSON has no {key!r} key")
+        m = ExactMatrix.from_rows(obj["entries"], cols=obj["cols"])
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise ValueError("header does not match matrix body")
         return m
@@ -145,6 +148,8 @@ class SignMatrix:
         rows = [tuple(r) for r in rows]
         masks = []
         for r in rows:
+            if len(r) != len(rows[0]):
+                raise ValueError("ragged rows")
             mask = 0
             for j, x in enumerate(r):
                 if x == 1:

@@ -11,14 +11,31 @@ and each vector turns a table of counts into the sum of its two shifts by
 +-v (a zero vector doubles every count).  Distinct points pack to distinct
 keys when every coordinate of their difference is below B in absolute value,
 so B is odd and above twice the largest reachable |coordinate|:
-B = 2 S + 1 with S the largest column sum S_i = sum_j |v_j[i]|.  The atom
-queries read one count table checked to total 2^n: `atom_max` takes its
-largest count on the packed keys, `levy_lower_bound` keeps the decoded
-counts as integer weights, and only `atom_distribution` builds `Fraction`
-masses, one per distinct count.  Solution counts join the packed folds of
-the two column halves, after ruling out targets with some |b_i| > S_i (then
-|b_i - u_i - w_i| <= 2 S_i for all half sums u, w: the join cannot alias);
-subspace sign-vector counts join the decoded halves of a reduced basis.
+B = 2 S + 1 with S the largest column sum S_i = sum_j |v_j[i]|.
+
+Atom tables (and the subspace count's two halves) are two numpy arrays,
+the sorted packed keys and their integer counts.  Each vector is one
+vectorised step: the keys shifted by -s and by +s are concatenated, sorted
+stably, and the counts of each run of equal keys are added by
+`np.add.reduceat`.  Keys are decoded with array `//` and `%`, one digit at a
+time.  Keys are int64 when B^d < 2^63 (every |key| is below B^d / 2, and a
+key offset to nonnegative digits is below B^d), and counts are int64 when
+2^n < 2^63; otherwise either array holds Python ints (`dtype=object`) and
+the same code runs on it.  The atom queries read one table checked to total
+2^n: `atom_max` takes its largest count, `levy_lower_bound` keeps the
+decoded counts as integer weights, and only `atom_distribution` builds
+`Fraction` masses, one per distinct count, handing the largest one to the
+`AtomTable` so that `max_atom` compares no `Fraction`s.
+
+Solution counts keep a dict fold, `_packed_sign_sums`: they join the packed
+folds of the two column halves, after ruling out targets with some
+|b_i| > S_i (then |b_i - u_i - w_i| <= 2 S_i for all half sums u, w: the join
+cannot alias).  Their tables are tiny (the N-normal census solves step
+systems of at most 6 columns, hundreds of times per census), and there the
+numpy per-call overhead loses: on a 2-core machine, an array fold measured
+4.2 -> 15.7 ms per round of the benchmark's `normal` workload and
+0.5 -> 1.3 ms per `census` round.  The two folds share only `_pack` and `_column_sums`.  Subspace
+sign-vector counts join the decoded halves of a reduced basis.
 """
 
 from __future__ import annotations
@@ -27,6 +44,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+
+import numpy as np
 
 from .distributions import LatticeDistribution
 from .exactmat import BudgetExceededError, ExactMatrix, rref_fraction
@@ -67,45 +86,69 @@ def _packed_sign_sums(vectors, base: int) -> dict:
     return counts
 
 
-def _unpack_counts(packed: dict, base: int, d: int) -> dict:
-    """Decode packed keys to d-tuples, one digit of every key at a time,
-    emptying `packed` first so that the two tables are never alive together."""
+def _sign_sum_table(vectors, d: int, base: int) -> tuple:
+    """(keys, counts): the sorted packed keys of the sums sum(eps_i v_i) over
+    all sign vectors eps, and the number of sign vectors reaching each.
+
+    `base` must be odd and above twice every |coordinate| reached.  Keys are
+    int64 when base^d < 2^63 and counts when 2^n < 2^63; otherwise the
+    arrays hold Python ints.
+    """
+    keys = np.zeros(1, dtype=np.int64 if base**d < 1 << 63 else object)
+    counts = np.ones(1, dtype=np.int64 if len(vectors) < 63 else object)
+    for v in vectors:
+        s = _pack(v, base)
+        if s == 0:
+            counts = counts + counts
+            continue
+        shifted = np.concatenate((keys - s, keys + s))
+        order = np.argsort(shifted, kind="stable")
+        shifted = shifted[order]
+        starts = np.flatnonzero(np.concatenate(([True], shifted[1:] != shifted[:-1])))
+        keys = shifted[starts]
+        counts = np.add.reduceat(np.concatenate((counts, counts))[order], starts)
+    return keys, counts
+
+
+def _unpack_keys(keys, base: int, d: int) -> list:
+    """The lattice points (d-tuples of ints) of packed keys, in key order."""
     half = base // 2
     # Offset by the packed (half, ..., half): the digits become 0..base-1.
-    offset = _pack((half,) * d, base)
-    keys = [k + offset for k in packed]
-    counts = list(packed.values())
-    packed.clear()
+    keys = keys + _pack((half,) * d, base)
     digits = []
     for _ in range(d):
-        digits.append([k % base - half for k in keys])
-        keys = [k // base for k in keys]
-    points = zip(*digits) if d else [()] * len(counts)
-    return dict(zip(points, counts))
+        digits.append((keys % base - half).tolist())
+        keys = keys // base
+    return list(zip(*digits)) if d else [()] * len(keys)
 
 
 def _atom_counts(system: VectorSystem, cap: int) -> tuple:
-    """(packed key of u -> number of sign vectors with sum(eps_i a_i) = u, base),
+    """(keys, counts, base): the sign-sum table of the system's vectors,
     checked to total 2^n.  The table's size is that of the sum lattice."""
     if system.n > cap:
         raise BudgetExceededError(f"n={system.n} exceeds enumeration cap {cap}")
-    base = 2 * max(_column_sums(system.vectors, system.dimension), default=0) + 1
-    counts = _packed_sign_sums(system.vectors, base)
-    if sum(counts.values()) != 1 << system.n:
+    d = system.dimension
+    base = 2 * max(_column_sums(system.vectors, d), default=0) + 1
+    keys, counts = _sign_sum_table(system.vectors, d, base)
+    if counts.sum() != 1 << system.n:
         raise AssertionError("atom masses must sum to 1 exactly")
-    return counts, base
+    return keys, counts, base
 
 
 @dataclass(frozen=True)
 class AtomTable:
-    """Exact distribution of a signed vector sum: lattice point -> probability."""
+    """Exact distribution of a signed vector sum: lattice point -> probability.
+
+    `max_mass` is the largest value of `probs` (the same object), found on
+    the integer counts when the table is built."""
 
     dimension: int
     probs: dict
     total_mass: Fraction
+    max_mass: Fraction
 
     def max_atom(self) -> Fraction:
-        return max(self.probs.values())
+        return self.max_mass
 
 
 def atom_distribution(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> AtomTable:
@@ -114,19 +157,19 @@ def atom_distribution(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> Atom
     Each distinct count of the checked fold becomes one `Fraction` mass,
     shared by the atoms that have it.
     """
-    counts, base = _atom_counts(system, cap)
+    keys, counts, base = _atom_counts(system, cap)
+    points = _unpack_keys(keys, base, system.dimension)
+    counts = counts.tolist()
     denom = 1 << system.n
-    masses = {c: Fraction(c, denom) for c in set(counts.values())}
-    probs = _unpack_counts(counts, base, system.dimension)
-    for p, c in probs.items():
-        probs[p] = masses[c]
-    return AtomTable(system.dimension, probs, Fraction(1))
+    masses = {c: Fraction(c, denom) for c in set(counts)}
+    probs = dict(zip(points, map(masses.__getitem__, counts)))
+    return AtomTable(system.dimension, probs, Fraction(1), masses[max(masses)])
 
 
 def atom_max(system: VectorSystem, cap: int = ATOM_CAP_DEFAULT) -> Fraction:
     """sup over u of Pr[sum(eps_i a_i) = u], exactly: the largest count / 2^n."""
-    counts, _ = _atom_counts(system, cap)
-    return Fraction(max(counts.values()), 1 << system.n)
+    _, counts, _ = _atom_counts(system, cap)
+    return Fraction(int(counts.max()), 1 << system.n)
 
 
 def levy_lower_bound(
@@ -145,10 +188,11 @@ def levy_lower_bound(
     """
     if centers not in ("atoms", "atoms+midpoints"):
         raise ValueError("centers must be 'atoms' or 'atoms+midpoints'")
-    counts, base = _atom_counts(system, cap)
+    keys, counts, base = _atom_counts(system, cap)
     d = system.dimension
+    weights = dict(zip(_unpack_keys(keys, base, d), counts.tolist()))
     # gcd(counts) divides their sum 2^n, so these weights reduce exactly.
-    dist = LatticeDistribution._from_weights(d, _unpack_counts(counts, base, d), 1 << system.n)
+    dist = LatticeDistribution._from_weights(d, weights, 1 << system.n)
     best = dist.best_ball_mass(radius)
     if centers == "atoms+midpoints":
         # One `ball_mass` pass per distinct doubled midpoint, not per pair.
@@ -204,8 +248,8 @@ def combinatorial_dimension(
     the space is z.basis for z its values on the pivot coordinates, so a sign
     vector has z in {+-1}^rank, and then its pivot coordinates are +-denom.
     Each half of the basis rows, restricted to the free coordinates, is
-    folded and decoded, and the pairs of half sums that add up to +-denom in
-    every free coordinate are counted.  Returns
+    folded into a sign-sum table and decoded, and the pairs of half sums
+    that add up to +-denom in every free coordinate are counted.  Returns
     (count, log2(count)); the log is None when count = 0.
     """
     basis, pivots = rref_fraction(spanning.entries)
@@ -217,14 +261,18 @@ def combinatorial_dimension(
     denom = math.lcm(*(x.denominator for row in basis for x in row))
     free = [j for j in range(spanning.cols) if j not in pivots]
     rows = [[int(row[j] * denom) for j in free] for row in basis]
-    base = 2 * max(_column_sums(rows, len(free)), default=0) + 1
+    f = len(free)
+    base = 2 * max(_column_sums(rows, f), default=0) + 1
     half = (r + 1) // 2
-    left = _unpack_counts(_packed_sign_sums(rows[:half], base), base, len(free))
-    right = _unpack_counts(_packed_sign_sums(rows[half:], base), base, len(free))
+    halves = []
+    for part in (rows[:half], rows[half:]):
+        keys, counts = _sign_sum_table(part, f, base)
+        halves.append(list(zip(_unpack_keys(keys, base, f), counts.tolist())))
+    left, right = halves
     count = sum(
         cl * cr
-        for pl, cl in left.items()
-        for pr, cr in right.items()
+        for pl, cl in left
+        for pr, cr in right
         if all(abs(a + b) == denom for a, b in zip(pl, pr))
     )
     d_pm = math.log2(count) if count > 0 else None

@@ -131,6 +131,26 @@ def test_matrix_file_errors_name_their_cause(tmp_path, capsys):
         assert json.loads(err)["error"] == "empty matrix text"
 
 
+def test_ragged_sign_file_is_a_usage_error(tmp_path, capsys):
+    # The short second row must not read as (+1, -1).
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("2 2\n+ +\n+\n")
+    code, out, err = run_cli(capsys, "normal", "check", "--matrix", str(ragged))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ragged rows"
+
+
+def test_json_matrix_without_a_header_key_is_a_usage_error(tmp_path, capsys):
+    for key in ("rows", "cols"):
+        body = {"rows": 2, "cols": 2, "entries": [[0, 0], [0, 0]]}
+        del body[key]
+        target = tmp_path / f"no_{key}.json"
+        target.write_text(json.dumps(body))
+        code, out, err = run_cli(capsys, "normal", "census", "--n", "2", "--target", str(target))
+        assert code == 2 and out == ""
+        assert repr(key) in json.loads(err)["error"]
+
+
 def test_normal_census_of_a_target_without_normals(tmp_path, capsys):
     # Plausible (even, symmetric, zero diagonal) but no 2 x 2 commutator has
     # an entry 2, so the step tree prunes to empty levels.

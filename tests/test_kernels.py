@@ -1,20 +1,24 @@
 """The integer convolution kernel: differential and property tests.
 
-Atom tables (a fold of two-point convolutions on packed integer keys) are
-compared with a naive 2^n enumeration and with the meet-in-the-middle
-solution counter, also on the inputs where a packed key could alias: sums
-at the edge of the reachable box, targets just outside it, zero vectors,
-d = 1, large entries and d >= 8.  The atom maximum and the Levy lower bound,
-which read the integer counts without building a `Fraction` table, are
-compared with the table path.  `LatticeDistribution` operations are
-checked against their algebraic laws, and the replication checks against
-the full-power factors they replace.
+Atom tables (a fold of two-point convolutions on sorted arrays of packed
+integer keys) are compared with a naive 2^n enumeration, with the dict fold
+of the solution counter and with the meet-in-the-middle solution counter,
+also on the inputs where a packed key could alias: sums at the edge of the
+reachable box, targets just outside it, zero vectors, d = 1, large entries
+and d >= 8.  Keys too wide for int64 and counts of 2^63 or more take Python
+ints, and both are checked against exact values.  The atom maximum and the
+Levy lower bound, which read the integer counts without building a
+`Fraction` table, are compared with the table path.  `LatticeDistribution`
+operations are checked against their algebraic laws, and the replication
+checks against the full-power factors they replace.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,6 +192,57 @@ def test_packed_kernel_matches_naive_on_fixed_examples():
         check_against_naive(vectors)
 
 
+def sign_sum_table(vectors):
+    """The oracle's (keys, counts) table under the base the atom queries use."""
+    base = 2 * max(box_sums(vectors)) + 1
+    return oracle._sign_sum_table(vectors, len(vectors[0]), base), base
+
+
+@SETTINGS
+@given(signed_systems(max_n=13, max_d=4))
+def test_array_table_matches_naive_enumeration_and_the_dict_fold(system):
+    vectors = list(system.vectors)
+    (keys, counts), base = sign_sum_table(vectors)
+    assert keys.dtype == counts.dtype == np.int64
+    key_list = keys.tolist()
+    assert key_list == sorted(set(key_list))
+    assert dict(zip(key_list, counts.tolist())) == oracle._packed_sign_sums(vectors, base)
+    table = dict(zip(oracle._unpack_keys(keys, base, system.dimension), counts.tolist()))
+    assert table == naive_counts(vectors)
+    # -eps reaches -u whenever eps reaches u.
+    assert all(table[tuple(-x for x in u)] == c for u, c in table.items())
+
+
+def test_keys_too_wide_for_int64_are_python_ints():
+    rng = random.Random(31)
+    vectors = [
+        tuple(rng.choice((1, -1)) * rng.randint(10**5 - 3, 10**5 + 3) for _ in range(4))
+        for _ in range(8)
+    ]
+    vectors += [(0,) * 4, vectors[0], tuple(-x for x in vectors[1])]
+    (keys, counts), base = sign_sum_table(vectors)
+    assert base**4 >= 2**63
+    assert keys.dtype == object and counts.dtype == np.int64
+    assert dict(zip(keys.tolist(), counts.tolist())) == oracle._packed_sign_sums(vectors, base)
+    check_against_naive(vectors)
+    system = VectorSystem.from_vectors(vectors)
+    assert levy_lower_bound(system, 0) == atom_max(system)
+
+
+def test_counts_of_2_to_the_63_or_more_are_python_ints():
+    # The sum of 70 coins: an int64 count would wrap at C(70, 35) > 2^63.
+    system = VectorSystem.from_vectors([(1,)] * 70)
+    (keys, counts), _ = sign_sum_table(list(system.vectors))
+    assert keys.dtype == np.int64 and counts.dtype == object
+    expected = {(2 * j - 70,): Fraction(comb(70, j), 2**70) for j in range(71)}
+    table = atom_distribution(system, cap=70)
+    assert table.probs == expected
+    assert table.max_atom() == atom_max(system, cap=70) == Fraction(comb(70, 35), 2**70)
+    assert levy_lower_bound(system, 0, cap=70) == table.max_atom()
+    middle = comb(70, 34) + comb(70, 35) + comb(70, 36)
+    assert levy_lower_bound(system, 2, cap=70) == Fraction(middle, 2**70)
+
+
 @SETTINGS
 @given(signed_systems(max_n=12, max_d=4))
 def test_atom_max_matches_the_table_and_naive_enumeration(system):
@@ -236,7 +291,7 @@ def test_atom_max_and_levy_build_no_fraction_table(monkeypatch):
     monkeypatch.setattr(oracle, "atom_distribution", forbidden)
     monkeypatch.setattr(LatticeDistribution, "__init__", forbidden)
     assert levy_lower_bound(system, 1, centers="atoms+midpoints") == expected_levy
-    monkeypatch.setattr(oracle, "_unpack_counts", forbidden)
+    monkeypatch.setattr(oracle, "_unpack_keys", forbidden)
     assert atom_max(system) == expected_max
 
 

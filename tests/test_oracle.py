@@ -87,6 +87,8 @@ def test_atom_masses_share_one_fraction_per_count():
         # Atoms with equal counts hold the same Fraction object.
         assert len({id(q) for q in table.probs.values()}) == len(set(counts.values()))
         assert table.max_atom() == Fraction(max(counts.values()), 2**n)
+        # The largest atom is one of the shared masses, not a new Fraction.
+        assert any(q is table.max_atom() for q in table.probs.values())
     for sys in tight:
         assert atom_max(sys) == halasz_atom_bound(sys.block_ranks(), sys.ell)
 
