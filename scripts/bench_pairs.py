@@ -13,8 +13,10 @@ first.  One traced run per side follows, for the per-layer numbers.  The
 file records every run's output, and per workload and side the median and
 quartiles of each end-to-end metric, the number of pairs the change won, and
 `over_bound`: the metrics whose change median is worse than the base median
-by more than the metric's `bound` in BENCHMARK.json (a relative bound; the
-list is also printed to stderr).
+by more than the metric's `bound` in BENCHMARK.json (a relative bound), and
+`unresolved`: the metrics whose base runs alone spread wider than that bound
+(base q3 - q1 > bound * |base median|), where a move within the spread is
+unresolved rather than unchanged.  Both lists are also printed to stderr.
 The change side is named by its commit and, when the checkout differs from
 that commit, by the SHA-256 of `git diff HEAD`.
 Runs are sequential: one benchmark process at a time.
@@ -110,13 +112,15 @@ def main(argv=None) -> int:
                     and by_pair[p, "change"] != by_pair[p, "base"]
                     for p in range(PAIRS)
                 )
-            over_bound = []
+            over_bound, unresolved = [], []
             for m, lower in lower_is_better.items():
-                base, change = summary["base"][m]["median"], summary["change"][m]["median"]
-                worse = change - base if lower else base - change
-                if worse > bounds[m] * abs(base):
+                base, change = summary["base"][m], summary["change"][m]["median"]
+                worse = change - base["median"] if lower else base["median"] - change
+                if worse > bounds[m] * abs(base["median"]):
                     over_bound.append(m)
-            print(f"{workload} over_bound: {over_bound}", file=sys.stderr)
+                if base["q3"] - base["q1"] > bounds[m] * abs(base["median"]):
+                    unresolved.append(m)
+            print(f"{workload} over_bound: {over_bound} unresolved: {unresolved}", file=sys.stderr)
             traced = {side: run_bench(path, workload, 101, seconds, 1)
                       for side, path in sides.items()}
             report["workloads"][workload] = {
@@ -124,6 +128,7 @@ def main(argv=None) -> int:
                 "summary": summary,
                 "change_wins": wins,
                 "over_bound": over_bound,
+                "unresolved": unresolved,
                 "all_correct": all(r["correct"] and r["failed"] == 0 for r in runs),
                 "trace": traced,
             }

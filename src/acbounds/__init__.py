@@ -34,7 +34,6 @@ from .exactmat import (
     BudgetExceededError,
     ExactMatrix,
     NonconvergenceError,
-    SignMatrix,
     cauchy_binet_check,
     count_nonzero_minors,
     det,

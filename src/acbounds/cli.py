@@ -26,7 +26,7 @@ from .bounds import (
     rogozin_bound,
     sbp_general_bound,
 )
-from .exactmat import BudgetExceededError, ExactMatrix, NonconvergenceError, SignMatrix
+from .exactmat import BudgetExceededError, ExactMatrix, NonconvergenceError
 from .hadamard import (
     enumerate_partial_hadamard,
     feasibility_condition,
@@ -60,14 +60,7 @@ def _load_matrix(path: str) -> ExactMatrix:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return ExactMatrix.from_json(stripped)
-    try:
-        return ExactMatrix.from_text(text)
-    except ValueError:
-        # Only a bare '+' or '-' token makes the text a sign matrix rather
-        # than an integer one with a fault in it.
-        if not {"+", "-"} & set(text.split()):
-            raise
-    return SignMatrix.from_text(text).to_exact()
+    return ExactMatrix.from_text(text)
 
 
 def _load_system(path: str) -> VectorSystem:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import index
 
 
 class BudgetExceededError(RuntimeError):
@@ -22,15 +22,24 @@ class NonconvergenceError(RuntimeError):
     """An iterative certification failed to reach the requested accuracy."""
 
 
-def _text_body(text):
-    """Split the shared matrix text format into (rows, cols, body lines)."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    r, c = (int(tok) for tok in lines[0].split())
-    if len(lines) != 1 + r:
-        raise ValueError("header does not match matrix body")
-    return r, c, lines[1:]
+_INT_ONLY = frozenset((int,))
+_SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
+def int_tuple(values) -> tuple:
+    """`values` as a tuple of exact ints.
+
+    Python and numpy integers pass (by `operator.index`).  A bool, a float
+    (even 2.0) or any other non-integer raises a ValueError naming it, so
+    that input such as 1.5 is refused rather than truncated.
+    """
+    values = tuple(values)
+    if _INT_ONLY.issuperset(map(type, values)):
+        return values
+    for x in values:
+        if isinstance(x, bool) or not hasattr(x, "__index__"):
+            raise ValueError(f"{x!r} is not an integer")
+    return tuple(map(index, values))
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,7 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(rows, cols=None) -> "ExactMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(map(int_tuple, rows))
         if not rows:
             if cols is None:
                 raise ValueError("empty matrix needs explicit cols")
@@ -74,9 +83,25 @@ class ExactMatrix:
 
     @staticmethod
     def from_text(text) -> "ExactMatrix":
-        """Parse the shared matrix text format: "rows cols" then row lines."""
-        r, c, body = _text_body(text)
-        rows = [[int(tok) for tok in ln.split()] for ln in body]
+        """Parse the shared matrix text format: "rows cols" then row lines.
+
+        A body with any bare '+' or '-' token is a sign matrix: each of its
+        tokens must then be '+', '+1', '1', '-' or '-1'.
+        """
+        lines = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty matrix text")
+        r, c = map(int, lines[0])
+        body = lines[1:]
+        if len(body) != r:
+            raise ValueError("header does not match matrix body")
+        if any("+" in row or "-" in row for row in body):
+            bad = next((tok for row in body for tok in row if tok not in _SIGN_TOKENS), None)
+            if bad is not None:
+                raise ValueError(f"bad sign token {bad!r}")
+            rows = [[_SIGN_TOKENS[tok] for tok in row] for row in body]
+        else:
+            rows = [[int(tok) for tok in row] for row in body]
         m = ExactMatrix.from_rows(rows, cols=c)
         if m.rows != r or m.cols != c:
             raise ValueError("header does not match matrix body")
@@ -125,88 +150,24 @@ class ExactMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
 
-@dataclass(frozen=True)
-class SignMatrix:
-    """{+1,-1} matrix with bit-packed rows: bit j of row_masks[i] set <=> entry +1."""
-
-    rows: int
-    cols: int
-    row_masks: tuple
-
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("sign matrix must be nonempty")
-        if len(self.row_masks) != self.rows:
-            raise ValueError("row count mismatch")
-        full = (1 << self.cols) - 1
-        for m in self.row_masks:
-            if not 0 <= m <= full:
-                raise ValueError("row mask out of range")
-
-    @staticmethod
-    def from_rows(rows) -> "SignMatrix":
-        rows = [tuple(r) for r in rows]
-        masks = []
-        for r in rows:
-            if len(r) != len(rows[0]):
-                raise ValueError("ragged rows")
-            mask = 0
-            for j, x in enumerate(r):
-                if x == 1:
-                    mask |= 1 << j
-                elif x != -1:
-                    raise ValueError("entries must be +1 or -1")
-            masks.append(mask)
-        return SignMatrix(len(rows), len(rows[0]), tuple(masks))
-
-    @staticmethod
-    def from_text(text) -> "SignMatrix":
-        """Text format accepts '+'/'-' or '1'/'-1' tokens."""
-        r, c, body = _text_body(text)
-        rows = []
-        for ln in body:
-            row = []
-            for tok in ln.split():
-                if tok in ("+", "+1", "1"):
-                    row.append(1)
-                elif tok in ("-", "-1"):
-                    row.append(-1)
-                else:
-                    raise ValueError(f"bad sign token {tok!r}")
-            rows.append(row)
-        m = SignMatrix.from_rows(rows)
-        if m.rows != r or m.cols != c:
-            raise ValueError("header does not match matrix body")
-        return m
-
-    def entry(self, i, j) -> int:
-        return 1 if (self.row_masks[i] >> j) & 1 else -1
-
-    def to_exact(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(
-            [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    def row_dot(self, i, j) -> int:
-        # +-1 dot product: n minus twice the number of disagreeing positions.
-        return self.cols - 2 * (self.row_masks[i] ^ self.row_masks[j]).bit_count()
-
-
 def _bareiss(rows):
     """Fraction-free (Bareiss) elimination of a copy of `rows`.
 
-    Returns (rank, sign, last_pivot): sign is (-1)^(row swaps) and last_pivot
-    the last nonzero pivot, so a square matrix of full rank has determinant
-    sign * last_pivot.  Every intermediate entry is a minor of the input, so
-    each division is exact.
+    Returns (rank, sign, last_pivot, pivots, echelon): sign is
+    (-1)^(row swaps) and last_pivot the last nonzero pivot, so a square
+    matrix of full rank has determinant sign * last_pivot; echelon holds the
+    rank nonzero rows left by the elimination, which span the row space of
+    `rows`, and pivots[i] is the pivot column of echelon[i].  Every
+    intermediate entry is a minor of the input, so each division is exact.
     """
     a = [list(r) for r in rows]
     if not a:
-        return 0, 1, 1
+        return 0, 1, 1, [], []
     nrows, ncols = len(a), len(a[0])
     r = 0
     sign = 1
     prev = 1
+    pivots = []
     for c in range(ncols):
         if r == nrows:
             break
@@ -225,8 +186,9 @@ def _bareiss(rows):
                 rowi[j] = (piv * rowi[j] - aic * rowr[j]) // prev
             rowi[c] = 0
         prev = piv
+        pivots.append(c)
         r += 1
-    return r, sign, prev
+    return r, sign, prev, pivots, a[:r]
 
 
 def rank(m: ExactMatrix) -> int:
@@ -240,7 +202,7 @@ def det(m: ExactMatrix) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    r, sign, last_pivot = _bareiss(m.entries)
+    r, sign, last_pivot, _, _ = _bareiss(m.entries)
     return sign * last_pivot if r == m.rows else 0
 
 
@@ -283,33 +245,3 @@ def count_nonzero_minors(m: ExactMatrix, budget: int = 10**6) -> int:
     if n_minors > budget:
         raise BudgetExceededError(f"{n_minors} minors exceed budget {budget}")
     return sum(1 for cols in combinations(range(m.cols), m.rows) if det(m.column_submatrix(cols)) != 0)
-
-
-def rref_fraction(rows):
-    """Reduced row echelon form over Q.
-
-    Returns (basis, pivot_cols) where basis rows are Fraction tuples spanning
-    the row space, with basis[i][pivot_cols[j]] == (1 if i == j else 0).
-    """
-    a = [[Fraction(x) for x in r] for r in rows]
-    if not a:
-        return [], []
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv_row is None:
-            continue
-        a[r], a[piv_row] = a[piv_row], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(a[i]) for i in range(r)], pivots

@@ -129,7 +129,8 @@ def enumerate_partial_hadamard(
 
     Sums the state weights of the column-class DP (`_census_states`).
     `budget` caps the (state, split) pairs examined, which `nodes_visited`
-    reports; `workers` is accepted and ignored.
+    reports.  `workers` is accepted and ignored; it stays because the
+    benchmark's census workload passes it.
     """
     states, splits = _census_states(k, n, budget, fix_first_row)
     normalized = sum(states.values())
@@ -302,8 +303,9 @@ def pipeline_bound_check(
     sign solutions of H x = 0 at most 2^(n-k), and for each even-ell rank
     partition the greedy construction finds, the central-binomial atom bound
     must dominate that count (decided rationally); `PipelineReport` gives
-    the units.  `budget` caps the DP's (state, split) pairs;
-    `partition_sample` is accepted and ignored.
+    the units.  `budget` caps the DP's (state, split) pairs.
+    `partition_sample` is accepted and ignored; it stays because the
+    benchmark's census workload and its self-test pass it.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")

@@ -44,11 +44,9 @@ def commutator(m: ExactMatrix) -> ExactMatrix:
     )
 
 
-def is_n_normal(m, n_target: ExactMatrix) -> bool:
+def is_n_normal(m: ExactMatrix, n_target: ExactMatrix) -> bool:
     """Exact test of M M^T - M^T M = N, via the matrix identity and the
     entrywise row/column form; the two must agree (asserted)."""
-    if hasattr(m, "to_exact"):
-        m = m.to_exact()
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
     if n_target.rows != m.rows or n_target.cols != m.cols:
@@ -107,10 +105,8 @@ class PartialMatrix:
 
     @staticmethod
     def from_full(m, k: int) -> "PartialMatrix":
-        """The step-k restriction of a full matrix: an ExactMatrix, a
-        SignMatrix, or a sequence of rows."""
-        if hasattr(m, "to_exact"):
-            m = m.to_exact()
+        """The step-k restriction of a full matrix: an ExactMatrix or a
+        sequence of rows."""
         rows = getattr(m, "entries", m)
         n = len(rows)
         a = tuple(tuple(rows[i][:k]) for i in range(k))
@@ -147,11 +143,9 @@ def build_t_system(p: PartialMatrix, n_target: ExactMatrix):
     return t_k, nprime
 
 
-def step_vector(m, k: int) -> tuple:
+def step_vector(m: ExactMatrix, k: int) -> tuple:
     """The step-(k+1) unknowns read off a full matrix M: the new row of
     B_{k+1} followed by the negated new column of C_{k+1}."""
-    if hasattr(m, "to_exact"):
-        m = m.to_exact()
     n = m.rows
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")

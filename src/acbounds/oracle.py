@@ -48,7 +48,7 @@ from operator import add
 import numpy as np
 
 from .distributions import LatticeDistribution
-from .exactmat import BudgetExceededError, ExactMatrix, rref_fraction
+from .exactmat import BudgetExceededError, ExactMatrix, _bareiss
 from .system import VectorSystem
 
 ATOM_CAP_DEFAULT = 26
@@ -238,29 +238,53 @@ def count_sign_solutions(a: ExactMatrix, b=None, cap: int = SOLUTION_CAP_DEFAULT
     return count_sign_solutions_columns(columns, b, cap=cap)
 
 
+def _integer_basis(rows):
+    """The reduced echelon basis of the row space of `rows`, in integers.
+
+    Returns (pivots, denom, basis): basis[i] is denom times the i-th row of
+    the reduced row echelon form over Q, and denom the least such positive
+    integer.  The Bareiss echelon rows are finished without fractions: from
+    the last pivot up, each row is divided by the gcd of its entries and its
+    pivot column cleared from the rows above it by cross-multiplication.  A
+    primitive row proportional to a reduced row r has pivot +-lcm of the
+    denominators of r, so denom is the lcm of the pivots.
+    """
+    r, _, _, pivots, echelon = _bareiss(rows)
+    for k in reversed(range(r)):
+        g = math.gcd(*echelon[k])
+        echelon[k] = row = [x // g for x in echelon[k]]
+        p = row[pivots[k]]
+        for i in range(k):
+            x = echelon[i][pivots[k]]
+            if x:
+                echelon[i] = [p * a - x * b for a, b in zip(echelon[i], row)]
+    denom = math.lcm(*(row[c] for row, c in zip(echelon, pivots)))
+    return pivots, denom, [[x * (denom // row[c]) for x in row] for row, c in zip(echelon, pivots)]
+
+
 def combinatorial_dimension(
     spanning: ExactMatrix, cap: int = COMBDIM_RANK_CAP_DEFAULT
 ):
     """Count the sign vectors inside the row space of `spanning`.
 
     Pivot method: reduce the spanning rows to a basis in reduced echelon
-    form, scaled to integers by the common denominator `denom`.  A vector of
-    the space is z.basis for z its values on the pivot coordinates, so a sign
-    vector has z in {+-1}^rank, and then its pivot coordinates are +-denom.
+    form, scaled to integers by the common denominator `denom`
+    (`_integer_basis`).  A vector of the space is z.basis for z its values
+    on the pivot coordinates, so a sign vector has z in {+-1}^rank, and then
+    its pivot coordinates are +-denom.
     Each half of the basis rows, restricted to the free coordinates, is
     folded into a sign-sum table and decoded, and the pairs of half sums
     that add up to +-denom in every free coordinate are counted.  Returns
     (count, log2(count)); the log is None when count = 0.
     """
-    basis, pivots = rref_fraction(spanning.entries)
+    pivots, denom, basis = _integer_basis(spanning.entries)
     r = len(basis)
     if r > cap:
         raise BudgetExceededError(f"rank {r} exceeds enumeration cap {cap}")
     if r == 0:
         return 0, None
-    denom = math.lcm(*(x.denominator for row in basis for x in row))
     free = [j for j in range(spanning.cols) if j not in pivots]
-    rows = [[int(row[j] * denom) for j in free] for row in basis]
+    rows = [[row[j] for j in free] for row in basis]
     f = len(free)
     base = 2 * max(_column_sums(rows, f), default=0) + 1
     half = (r + 1) // 2

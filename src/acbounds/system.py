@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exactmat import ExactMatrix, rank
+from .exactmat import ExactMatrix, int_tuple, rank
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,14 @@ class VectorSystem:
 
     @staticmethod
     def from_vectors(vectors, partition=None) -> "VectorSystem":
-        vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+        vectors = tuple(map(int_tuple, vectors))
         if not vectors:
             raise ValueError("system must contain at least one vector")
         d = len(vectors[0])
         if partition is None:
             partition = (tuple(range(len(vectors))),)
         else:
-            partition = tuple(tuple(int(i) for i in b) for b in partition)
+            partition = tuple(map(int_tuple, partition))
         return VectorSystem(d, vectors, partition)
 
     @property
@@ -90,6 +90,9 @@ class VectorSystem:
     def from_json(obj) -> "VectorSystem":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        for key in ("d", "vectors"):
+            if key not in obj:
+                raise ValueError(f"system JSON has no {key!r} key")
         sys = VectorSystem.from_vectors(obj["vectors"], obj.get("partition"))
         if sys.dimension != obj["d"]:
             raise ValueError("declared dimension does not match vectors")

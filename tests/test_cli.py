@@ -151,6 +151,35 @@ def test_json_matrix_without_a_header_key_is_a_usage_error(tmp_path, capsys):
         assert repr(key) in json.loads(err)["error"]
 
 
+
+def test_non_integer_entries_are_usage_errors(tmp_path, capsys):
+    # 1.5 must not be read as 1, nor a partition index 1.9 as 1, nor true as 1.
+    cases = [
+        ("oracle", "atoms", "--system", {"d": 1, "vectors": [[1.5], [2]]}, "1.5"),
+        ("oracle", "atoms", "--system",
+         {"d": 1, "vectors": [[1], [2]], "partition": [[0], [1.9]]}, "1.9"),
+        ("oracle", "count", "--matrix", {"rows": 1, "cols": 2, "entries": [[1.5, 2]]}, "1.5"),
+        ("oracle", "count", "--matrix", {"rows": 1, "cols": 2, "entries": [[True, 1]]}, "True"),
+    ]
+    for group, kind, flag, body, bad in cases:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(body))
+        code, out, err = run_cli(capsys, group, kind, flag, str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == f"{bad} is not an integer"
+
+
+def test_system_json_without_a_key_is_a_usage_error(tmp_path, capsys):
+    for key in ("d", "vectors"):
+        body = {"d": 1, "vectors": [[1], [2]]}
+        del body[key]
+        path = tmp_path / f"no_{key}.json"
+        path.write_text(json.dumps(body))
+        for argv in (("oracle", "atoms"), ("bound", "halasz-atom")):
+            code, out, err = run_cli(capsys, *argv, "--system", str(path))
+            assert code == 2 and out == ""
+            assert repr(key) in json.loads(err)["error"]
+
 def test_normal_census_of_a_target_without_normals(tmp_path, capsys):
     # Plausible (even, symmetric, zero diagonal) but no 2 x 2 commutator has
     # an entry 2, so the step tree prunes to empty levels.

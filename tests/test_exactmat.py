@@ -1,23 +1,58 @@
 """Exact linear algebra: ranks, Gram determinants, minor identities."""
 
+import math
 import random
-from itertools import combinations
+import re
+from fractions import Fraction
+from itertools import combinations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acbounds.exactmat import (
     BudgetExceededError,
     ExactMatrix,
-    SignMatrix,
     cauchy_binet_check,
     count_nonzero_minors,
     det,
     gram_det,
     rank,
-    rref_fraction,
 )
+from acbounds.oracle import _integer_basis, combinatorial_dimension
 
 H24 = ExactMatrix.from_rows([[1, 1, 1, 1], [1, 1, -1, -1]])
+
+
+def rref_fraction(rows):
+    """Reduced row echelon form over Q, by Fraction Gauss-Jordan elimination.
+
+    Returns (basis, pivot_cols) where basis rows are Fraction tuples spanning
+    the row space, with basis[i][pivot_cols[j]] == (1 if i == j else 0).
+    """
+    a = [[Fraction(x) for x in r] for r in rows]
+    if not a:
+        return [], []
+    nrows, ncols = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv_row is None:
+            continue
+        a[r], a[piv_row] = a[piv_row], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(a[i]) for i in range(r)], pivots
 
 
 def gauss_rank_oracle(m):
@@ -158,23 +193,62 @@ def test_text_parsers_reject_a_body_that_does_not_match_the_header():
     for text in ("2 2\n0 2\n2 0\n5 5\n", "2 2\n0 2\n"):
         with pytest.raises(ValueError, match="header does not match matrix body"):
             ExactMatrix.from_text(text)
-    for text in ("2 2\n+ -\n- +\n+ +\n", "2 2\n+ -\n"):
+    for text in ("2 2\n+ -\n- +\n+ +\n", "2 2\n+ -\n", "2 3\n+ -\n- +\n"):
         with pytest.raises(ValueError, match="header does not match matrix body"):
-            SignMatrix.from_text(text)
+            ExactMatrix.from_text(text)
 
 
-def test_sign_matrix_tokens_and_packing():
-    s = SignMatrix.from_text("2 4\n+ + - -\n1 -1 1 -1\n")
-    assert s.to_exact() == ExactMatrix.from_rows([[1, 1, -1, -1], [1, -1, 1, -1]])
-    assert s.row_dot(0, 0) == 4
-    assert s.row_dot(0, 1) == 0
-    with pytest.raises(ValueError):
-        SignMatrix.from_rows([[1, 0]])
+def test_text_reads_sign_tokens():
+    m = ExactMatrix.from_text("3 4\n+ + - -\n1 -1 1 -1\n+1 - -1 +\n")
+    assert m == ExactMatrix.from_rows([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+    # One bare '+' or '-' makes the whole body a sign matrix: 2 is refused.
+    for text in ("1 2\n+ 2\n", "2 2\n1 2\n- +\n"):
+        with pytest.raises(ValueError, match="bad sign token '2'"):
+            ExactMatrix.from_text(text)
 
 
-def test_sign_matrix_round_trips_losslessly():
-    rng = random.Random(11)
-    for _ in range(30):
-        rows = [[rng.choice((1, -1)) for _ in range(6)] for _ in range(3)]
-        s = SignMatrix.from_rows(rows)
-        assert s.to_exact().entries == tuple(tuple(r) for r in rows)
+def test_from_rows_takes_numpy_ints_and_refuses_non_integers():
+    m = ExactMatrix.from_rows(np.array([[1, -2], [3, 4]]))
+    assert m.entries == ((1, -2), (3, 4))
+    assert all(type(x) is int for row in m.entries for x in row)
+    for bad in (1.5, 2.0, True, np.bool_(False), "3", Fraction(1, 1)):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not an integer$"):
+            ExactMatrix.from_rows([[1, bad]])
+
+
+@st.composite
+def spanning_rows(draw):
+    """0-6 rows of 1-10 columns, entries in [-30, 30] with many zeros and
+    units, plus optional dependent rows, zero rows and a negated row (so a
+    leading entry may be negative)."""
+    n = draw(st.integers(1, 10))
+    entry = st.sampled_from([0, 0, 0, 1, -1]) | st.integers(-30, 30)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    if rows and draw(st.booleans()):
+        x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.insert(draw(st.integers(0, len(rows))), [a * u + b * v for u, v in zip(x, y)])
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = [-u for u in rows[i]]
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spanning_rows())
+def test_integer_basis_matches_fraction_rref_and_naive_enumeration(drawn):
+    n, rows = drawn
+    basis, pivots = rref_fraction(rows)
+    denom = math.lcm(*(x.denominator for row in basis for x in row))
+    scaled = [[int(x * denom) for x in row] for row in basis]
+    assert _integer_basis(rows) == (pivots, denom, scaled)
+    # A sign vector x lies in the row space iff it is the combination of the
+    # reduced rows with weights x[pivots]: denom * x = sum x[p_i] * scaled_i.
+    brute = sum(
+        all(denom * x[j] == sum(x[p] * row[j] for p, row in zip(pivots, scaled)) for j in range(n))
+        for x in product((1, -1), repeat=n)
+    )
+    count, _ = combinatorial_dimension(ExactMatrix.from_rows(rows, cols=n))
+    assert count == brute
