@@ -264,7 +264,8 @@ class ReciprocalTuple:
             raise ValueError(f"entries must be positive multiples of {self.divisor}")
         if list(self.values) != sorted(self.values):
             raise ValueError("entries must be nondecreasing")
-        if sum(Fraction(1, v) for v in self.values) != 1:
+        common = math.lcm(*self.values)
+        if sum(common // v for v in self.values) != common:
             raise ValueError("reciprocals must sum to 1 exactly")
 
 
@@ -281,28 +282,25 @@ def enumerate_reciprocal_tuples(ell: int, divisor: int = 4, cap: int = 100000):
         raise ValueError("ell must be >= 1")
     results = []
 
-    def walk(prefix, remaining_count, remaining_mass):
-        if remaining_count == 0:
-            if remaining_mass == 0:
+    def walk(prefix, remaining_count, num, den):
+        # The remaining mass num/den >= 0 is in lowest terms.
+        if num == 0:
+            if remaining_count == 0:
                 results.append(ReciprocalTuple(tuple(prefix), divisor))
                 if len(results) > cap:
                     raise BudgetExceededError(f"more than {cap} tuples")
             return
-        if remaining_mass <= 0:
-            return
-        min_b = prefix[-1] if prefix else divisor
-        # 1/b <= remaining_mass  =>  b >= 1/remaining_mass
-        lower = max(min_b, -(-remaining_mass.denominator // remaining_mass.numerator))
+        # 1/b <= num/den  =>  b >= den/num
+        lower = max(prefix[-1] if prefix else divisor, -(-den // num))
         lower = -(-lower // divisor) * divisor
-        # remaining_count * (1/b) >= remaining_mass  =>  b <= count/mass
-        upper_frac = remaining_count / remaining_mass
-        upper = int(upper_frac)
-        b = lower
-        while b <= upper:
-            walk(prefix + [b], remaining_count - 1, remaining_mass - Fraction(1, b))
-            b += divisor
+        # remaining_count * (1/b) >= num/den  =>  b <= count*den/num (no b at count 0)
+        upper = remaining_count * den // num
+        for b in range(lower, upper + 1, divisor):
+            rest, whole = num * b - den, den * b
+            g = math.gcd(rest, whole)
+            walk(prefix + [b], remaining_count - 1, rest // g, whole // g)
 
-    walk([], ell, Fraction(1))
+    walk([], ell, 1, 1)
     return results
 
 

@@ -108,14 +108,9 @@ def _cmd_bound(args) -> int:
         else:
             ranks, ell = _ints(args.ranks), args.ell
         value = halasz_atom_bound(ranks, ell)
-        report = {"ranks": list(ranks), "ell": ell}
-        if isinstance(value, Fraction):
-            report["bound"] = _rat(value)
-            report["exact"] = True
-        else:
-            report["bound"] = value
-            report["exact"] = False
-        _emit(report, args.format)
+        exact = isinstance(value, Fraction)
+        bound = _rat(value) if exact else value
+        _emit({"ranks": list(ranks), "ell": ell, "bound": bound, "exact": exact}, args.format)
     elif kind == "halasz-sbp":
         system = _load_system(args.system)
         params = BoundParams(M=args.M, eps=args.eps, lam=args.lam, C=args.C)

@@ -1,12 +1,14 @@
 """Exact lattice distributions and the replication-trick inequalities.
 
 Distributions are finite rational measures on Z^d, stored as integer weights
-over one common denominator.  Convolution, reflection (symmetrization) and
-convolution powers run on those integers; `Fraction` masses appear only at
-the boundary (the constructor, `atoms` and the mass queries).  Both
-variants of a replication claim  lhs <= prod m_i^(1/a_i)  take each factor
-m_i from one half power p_i^{*a_i/2}, and the claim is settled by raising
-both sides to the lcm of the a_i, which keeps the comparison exact.
+over one common denominator.  Convolution, reflection (symmetrization),
+convolution powers and ball masses run on those integers (a ball mass sums
+the weights at integer squared distances from a scaled integer centre);
+`Fraction` masses appear only at the boundary (the constructor, `atoms` and
+the mass queries).  Both variants of a replication claim
+lhs <= prod m_i^(1/a_i)  take each factor m_i from one half power
+p_i^{*a_i/2}, and the claim is settled by raising both sides to the lcm of
+the a_i and cross-multiplying integer numerators and denominators.
 """
 
 from __future__ import annotations
@@ -125,18 +127,22 @@ class LatticeDistribution:
         scale = math.lcm(*(c.denominator for c in center))
         scaled = tuple(int(c * scale) for c in center)
         bound = math.floor((radius * scale) ** 2)
-        total = sum(
-            w
-            for p, w in self.weights.items()
-            if sum((scale * x - c) ** 2 for x, c in zip(p, scaled)) <= bound
-        )
-        return Fraction(total, self.denom)
+        return Fraction(self._ball_weight(scaled, scale, bound), self.denom)
 
     def best_ball_mass(self, radius) -> Fraction:
         """Max ball mass over atom centers: a certified Levy lower bound."""
-        if Fraction(radius) == 0:
+        radius = Fraction(radius)
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        if radius == 0:
             return self.max_atom()
-        return max(self.ball_mass(p, radius) for p in self.weights)
+        bound = math.floor(radius**2)
+        return Fraction(max(self._ball_weight(p, 1, bound) for p in self.weights), self.denom)
+
+    def _ball_weight(self, scaled, scale, bound) -> int:
+        """Total weight of the atoms p with |scale*p - scaled|^2 <= bound."""
+        return sum(w for p, w in self.weights.items()
+                   if sum((scale * x - c) ** 2 for x, c in zip(p, scaled)) <= bound)
 
     def __eq__(self, other):
         return (
@@ -199,20 +205,18 @@ def self_convolve(p: LatticeDistribution, m: int) -> LatticeDistribution:
 
 def _geometric_mean_upper(masses, tup) -> float:
     """Float upper bound on prod masses[i]^(1/tup[i]) (upward-rounded)."""
-    value = 1.0
-    for m, a in zip(masses, tup):
-        value *= float(m) ** (1.0 / a)
-    value = _nudge_up(value, 8)
+    value = _nudge_up(math.prod(float(m) ** (1.0 / a) for m, a in zip(masses, tup)), 8)
     return min(value, 1.0) if all(m <= 1 for m in masses) else value
 
 
 def _compare_with_product(lhs: Fraction, masses, tup) -> int:
-    """Sign of lhs - prod masses[i]^(1/tup[i]), exactly, via lcm powering."""
+    """Sign of lhs - prod masses[i]^(1/tup[i]), exactly: both sides raised to
+    the lcm of the tuple, then cross-multiplied as integers."""
     lcm = math.lcm(*tup)
-    left = lhs**lcm
-    right = Fraction(1)
+    left, right = lhs.numerator**lcm, lhs.denominator**lcm
     for m, a in zip(masses, tup):
-        right *= m ** (lcm // a)
+        left *= m.denominator ** (lcm // a)
+        right *= m.numerator ** (lcm // a)
     return (left > right) - (left < right)
 
 

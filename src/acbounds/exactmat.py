@@ -91,6 +91,8 @@ class ExactMatrix:
         lines = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty matrix text")
+        if len(lines[0]) != 2:
+            raise ValueError("matrix header must be 'rows cols'")
         r, c = map(int, lines[0])
         body = lines[1:]
         if len(body) != r:
@@ -114,8 +116,9 @@ class ExactMatrix:
         for key in ("rows", "cols", "entries"):
             if key not in obj:
                 raise ValueError(f"matrix JSON has no {key!r} key")
-        m = ExactMatrix.from_rows(obj["entries"], cols=obj["cols"])
-        if m.rows != obj["rows"] or m.cols != obj["cols"]:
+        rows, cols = int_tuple((obj["rows"], obj["cols"]))
+        m = ExactMatrix.from_rows(obj["entries"], cols=cols)
+        if m.rows != rows or m.cols != cols:
             raise ValueError("header does not match matrix body")
         return m
 

@@ -94,6 +94,6 @@ class VectorSystem:
             if key not in obj:
                 raise ValueError(f"system JSON has no {key!r} key")
         sys = VectorSystem.from_vectors(obj["vectors"], obj.get("partition"))
-        if sys.dimension != obj["d"]:
+        if (sys.dimension,) != int_tuple((obj["d"],)):
             raise ValueError("declared dimension does not match vectors")
         return sys

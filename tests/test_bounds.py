@@ -6,10 +6,13 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acbounds import bounds
 from acbounds.bounds import (
     BoundParams,
+    ReciprocalTuple,
     _assignments,
     _distinct_permutations,
     _is_psd,
@@ -328,6 +331,65 @@ def test_reciprocal_tuples_properties():
             assert all(b % divisor == 0 for b in t.values)
             assert sum(Fraction(1, b) for b in t.values) == 1
             assert list(t.values) == sorted(t.values)
+
+
+def fraction_walk(ell, divisor):
+    """Reference tuple walk carrying the remaining mass as a `Fraction`."""
+    found = []
+
+    def walk(prefix, count, mass):
+        if count == 0:
+            if mass == 0:
+                found.append(tuple(prefix))
+            return
+        if mass <= 0:
+            return
+        lower = max(prefix[-1] if prefix else divisor, math.ceil(1 / mass))
+        lower = -(-lower // divisor) * divisor
+        for b in range(lower, math.floor(count / mass) + 1, divisor):
+            walk(prefix + [b], count - 1, mass - Fraction(1, b))
+
+    walk([], ell, Fraction(1))
+    return found
+
+
+def test_integer_tuple_walk_matches_the_fraction_walk_in_order():
+    for divisor, top in ((2, 7), (4, 8)):
+        for ell in range(1, top + 1):
+            listed = [t.values for t in enumerate_reciprocal_tuples(ell, divisor)]
+            assert listed == fraction_walk(ell, divisor)
+
+
+TUPLE_POOL = {divisor: [t for ell in range(1, 6) for t in fraction_walk(ell, divisor)]
+              for divisor in (2, 4)}
+
+
+@st.composite
+def candidate_tuples(draw):
+    """A divisor and sorted positive multiples of it: often a reciprocal
+    tuple, often one entry off from one, otherwise arbitrary."""
+    divisor = draw(st.sampled_from((2, 4)))
+    kind = draw(st.sampled_from(("tuple", "nudged", "free")))
+    if kind == "free":
+        values = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+        return divisor, sorted(divisor * v for v in values)
+    values = list(draw(st.sampled_from(TUPLE_POOL[divisor])))
+    if kind == "nudged":
+        i = draw(st.integers(0, len(values) - 1))
+        step = draw(st.sampled_from((-1, 1)))
+        values[i] = max(divisor, values[i] + step * divisor)
+    return divisor, sorted(values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(candidate_tuples())
+def test_reciprocal_tuple_check_matches_the_fraction_sum(drawn):
+    divisor, values = drawn
+    if sum(Fraction(1, v) for v in values) == 1:
+        assert ReciprocalTuple(tuple(values), divisor).values == tuple(values)
+    else:
+        with pytest.raises(ValueError, match="reciprocals must sum to 1"):
+            ReciprocalTuple(tuple(values), divisor)
 
 
 def test_atom_general_symmetric_case():

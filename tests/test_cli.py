@@ -169,6 +169,31 @@ def test_non_integer_entries_are_usage_errors(tmp_path, capsys):
         assert json.loads(err)["error"] == f"{bad} is not an integer"
 
 
+def test_json_header_fields_must_be_integers(tmp_path, capsys):
+    # A float or a bool header must not pass as the integer it compares equal to.
+    cases = [
+        ("oracle", "count", "--matrix", {"rows": 1.0, "cols": 1, "entries": [[3]]}, "1.0"),
+        ("oracle", "count", "--matrix", {"rows": 1, "cols": True, "entries": [[3]]}, "True"),
+        ("oracle", "atoms", "--system", {"d": True, "vectors": [[1], [2]]}, "True"),
+        ("bound", "halasz-atom", "--system", {"d": 1.0, "vectors": [[1], [2]]}, "1.0"),
+    ]
+    for group, kind, flag, body, bad in cases:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(body))
+        code, out, err = run_cli(capsys, group, kind, flag, str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == f"{bad} is not an integer"
+
+
+def test_matrix_text_header_needs_two_tokens(tmp_path, capsys):
+    for header in ("2 2 2", "2"):
+        path = tmp_path / "matrix.txt"
+        path.write_text(f"{header}\n+ -\n- +\n")
+        code, out, err = run_cli(capsys, "normal", "check", "--matrix", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "matrix header must be 'rows cols'"
+
+
 def test_system_json_without_a_key_is_a_usage_error(tmp_path, capsys):
     for key in ("d", "vectors"):
         body = {"d": 1, "vectors": [[1], [2]]}

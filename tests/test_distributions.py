@@ -1,12 +1,17 @@
 """Lattice distributions: exact convolution and the replication inequalities."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acbounds.bounds import enumerate_reciprocal_tuples
 from acbounds.distributions import (
     LatticeDistribution,
+    _compare_with_product,
     convolve,
     replication_atom_check,
     replication_sbp_check,
@@ -170,6 +175,81 @@ def test_negative_radius_rejected():
     with pytest.raises(ValueError):
         replication_sbp_check([RADEMACHER] * 4, (4, 4, 4, 4), -1, (0,))
     assert TWO_COINS.ball_mass((0,), 0) == Fraction(1, 2)
+
+
+def fraction_compare(lhs, masses, tup):
+    """Reference sign of lhs - prod m_i^(1/a_i), powering `Fraction`s."""
+    lcm = math.lcm(*tup)
+    right = math.prod((m ** (lcm // a) for m, a in zip(masses, tup)), start=Fraction(1))
+    return (lhs**lcm > right) - (lhs**lcm < right)
+
+
+COMPARE_TUPLES = [t.values for d in (2, 4) for ell in range(1, 5)
+                  for t in enumerate_reciprocal_tuples(ell, d)]
+UNIT_FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=40)
+
+
+@st.composite
+def comparisons(draw):
+    """(lhs, masses, tuple), where lhs is often exactly prod m_i^(1/a_i):
+    the masses are then a_i-th powers r_i^a_i and lhs is prod r_i."""
+    tup = draw(st.sampled_from(COMPARE_TUPLES))
+    if draw(st.booleans()):
+        roots = draw(st.lists(UNIT_FRACTIONS, min_size=len(tup), max_size=len(tup)))
+        masses = [r**a for r, a in zip(roots, tup)]
+        lhs = math.prod(roots, start=Fraction(1)) + draw(st.sampled_from((0, 0, Fraction(1, 10**9))))
+        return lhs, masses, tup
+    masses = draw(st.lists(UNIT_FRACTIONS, min_size=len(tup), max_size=len(tup)))
+    return draw(UNIT_FRACTIONS), masses, tup
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(comparisons())
+def test_integer_comparison_matches_fraction_powering(case):
+    lhs, masses, tup = case
+    assert _compare_with_product(lhs, masses, tup) == fraction_compare(lhs, masses, tup)
+
+
+def test_comparison_equality_cases():
+    # Rademacher (2, 2): lhs 1/2 and both factors 1/2, so 1/2 = (1/2)^(1/2) (1/2)^(1/2).
+    half = Fraction(1, 2)
+    assert _compare_with_product(half, [half, half], (2, 2)) == 0
+    assert _compare_with_product(Fraction(3, 8), [Fraction(9, 16), Fraction(1, 4)], (2, 2)) == 0
+    assert _compare_with_product(Fraction(1, 4), [Fraction(1, 4)] * 4, (4, 4, 4, 4)) == 0
+    assert _compare_with_product(half + Fraction(1, 10**12), [half, half], (2, 2)) == 1
+    assert _compare_with_product(half - Fraction(1, 10**12), [half, half], (2, 2)) == -1
+    assert _compare_with_product(Fraction(0), [Fraction(0), half], (2, 2)) == 0
+
+
+@st.composite
+def small_distributions(draw):
+    """Up to 8 atoms with small integer weights on Z or Z^2."""
+    d = draw(st.sampled_from((1, 2)))
+    points = st.tuples(*[st.integers(-4, 4)] * d)
+    weights = draw(st.dictionaries(points, st.integers(1, 6), min_size=1, max_size=8))
+    return LatticeDistribution._from_weights(d, weights, sum(weights.values()))
+
+
+def fraction_ball_mass(p, center, radius):
+    """Reference ball mass from `Fraction` distances to a `Fraction` centre."""
+    return sum(
+        (m for x, m in p.atoms.items()
+         if sum((Fraction(a) - c) ** 2 for a, c in zip(x, center)) <= radius**2),
+        start=Fraction(0),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_distributions(), st.integers(0, 16), st.data())
+def test_best_ball_mass_is_the_largest_atom_centred_ball(p, halves, data):
+    radius = Fraction(halves, 2)
+    best = p.best_ball_mass(radius)
+    assert best == max(p.ball_mass(x, radius) for x in p.weights)
+    assert best == max(fraction_ball_mass(p, x, radius) for x in p.weights)
+    center = tuple(data.draw(st.fractions(-5, 5, max_denominator=6)) for _ in range(p.dimension))
+    assert p.ball_mass(center, radius) == fraction_ball_mass(p, center, radius)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        p.best_ball_mass(-Fraction(halves + 1, 2))
 
 
 def test_wrong_length_points_and_centers_rejected():
