@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -83,6 +84,11 @@ def _emit(report: dict, fmt: str, seed=None) -> None:
         print(",".join(json.dumps(body[k]) if isinstance(body[k], (dict, list)) else str(body[k]) for k in keys))
     else:
         raise ValueError(f"unknown format {fmt}")
+
+
+def _finite(x: float):
+    """x, or None (JSON null) for inf and NaN, which JSON has no number for."""
+    return x if math.isfinite(x) else None
 
 
 def _ints(text: str):
@@ -259,7 +265,7 @@ def _cmd_normal(args) -> int:
             analysis = solve_case_constants(eps=args.eps)
         report = {
             "cases": [
-                {"id": c.case_id, "beta": c.beta, "s": c.s, "t": c.t}
+                {"id": c.case_id, "beta": _finite(c.beta), "s": _finite(c.s), "t": _finite(c.t)}
                 for c in analysis.restrictions
             ],
             "worst_beta": analysis.worst_beta,

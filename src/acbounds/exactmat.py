@@ -42,6 +42,15 @@ def int_tuple(values) -> tuple:
     return tuple(map(index, values))
 
 
+def json_rows(obj, key: str) -> list:
+    """obj[key] of a parsed JSON object if it is a list of lists; otherwise a
+    ValueError naming the key."""
+    rows = obj[key]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{key!r} must be a list of lists")
+    return rows
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
     """Dense integer matrix.  `entries` is a tuple of row tuples.
@@ -114,10 +123,10 @@ class ExactMatrix:
         if isinstance(obj, str):
             obj = json.loads(obj)
         for key in ("rows", "cols", "entries"):
-            if key not in obj:
+            if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"matrix JSON has no {key!r} key")
         rows, cols = int_tuple((obj["rows"], obj["cols"]))
-        m = ExactMatrix.from_rows(obj["entries"], cols=cols)
+        m = ExactMatrix.from_rows(json_rows(obj, "entries"), cols=cols)
         if m.rows != rows or m.cols != cols:
             raise ValueError("header does not match matrix body")
         return m

@@ -9,9 +9,8 @@ a time, as a level-by-level tree of int8 numpy arrays pruned to the partials
 that extend to a full solution; the step systems of a level are slices of its
 array, checked against the children.  The case-constant solver works in
 normalized coordinates (s, t scaled by n), where the exponent functions are
-homogeneous of degree two, and scans every case along a closed-form curve, so
-no case needs a fixed-point loop (see `solve_case_constants`).
-"""
+homogeneous of degree two; each case is the least value over candidate points
+that are real roots of explicit polynomials (see `solve_case_constants`)."""
 
 from __future__ import annotations
 
@@ -247,82 +246,87 @@ def h_case_function(s: float, t: float, beta_small: float) -> float:
     return _g1(s, t) - beta_small * beta_small / 2
 
 
-def _elementwise_max(a, b):
-    """max(a, b) over arrays, with Python's tie and NaN rule: b only if b > a.
-
-    (np.maximum returns its second operand on a -0.0 / 0.0 tie and NaN
-    whenever either operand is NaN.)
-    """
-    return np.where(b > a, b, a)
-
-
-def _pointwise_restriction(g_val, s, t, eps, maximum=max):
+def _pointwise_restriction(g_val, s, t, eps):
     """The beta with min(g, f(beta - eps)) = -beta at a fixed point (s, t), t < 1.
 
     Both g + beta and f(beta - eps) + beta increase in beta, so the root of
     their minimum is the larger of their two roots: -g and the closed form
-    of f(beta - eps) = -beta.  With maximum=_elementwise_max, s, t and g_val
-    may be arrays.
+    of f(beta - eps) = -beta.
     """
-    return maximum(-g_val, (s * s / 2 + 1 - s - (1 + eps) * t * t) / (1 - t * t))
+    return max(-g_val, (s * s / 2 + 1 - s - (1 + eps) * t * t) / (1 - t * t))
 
 
-# Grid spacing of the scans in s and t; it is also the lower end of the s range.
+# Lower end of the s range of the cases that reach towards s = 0.
 GRID_STEP = 1e-4
 # Low-rank threshold gamma (rank <= gamma * m) recorded with the solved constants.
 GAMMA = 0.75
 
 
-def _scan_grid(lo, hi):
-    """The scan points after lo: lo + i (hi - lo) / steps for i = 1..steps."""
-    steps = max(1, int(round((hi - lo) / GRID_STEP)))
-    return lo + np.arange(1, steps + 1) * (hi - lo) / steps
+def _coefficients(p, degree=2) -> np.ndarray:
+    """The coefficients, constant first, of a polynomial p(x) of degree 2 or 4,
+    read off p at x = 0, +-1 and, for degree 4, +-2.  Where p returns the
+    coefficients of a polynomial in t, the result is the array whose entry
+    [i, j] multiplies x^i t^j."""
+    c0, up, down = p(0.0), p(1.0), p(-1.0)
+    even, odd = (up + down) / 2 - c0, (up - down) / 2
+    if degree == 2:
+        return np.array([c0, odd, even])
+    up, down = p(2.0), p(-2.0)
+    c3, c4 = ((up - down) / 2 - 2 * odd) / 6, ((up + down) / 2 - c0 - 4 * even) / 12
+    return np.array([c0, odd - c3, even - c4, c3, c4])
 
 
-def _grid_pick(best_s, best_v, grid, values):
-    """The point a scalar scan keeps: starting from (best_s, best_v), each
-    grid value strictly below the best so far replaces it.  That is the first
-    of the least values, if it is below best_v; NaN never replaces, and a NaN
-    best_v is never replaced."""
-    values = np.where(np.isnan(values), math.inf, values)
-    i = int(np.argmin(values))
-    if values[i] < best_v:
-        return float(grid[i]), float(values[i])
-    return best_s, best_v
+def _product(a, b) -> np.ndarray:
+    """The product of two polynomials in s and t given as coefficient arrays."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+    for (i, j), x in np.ndenumerate(a):
+        out[i : i + b.shape[0], j : j + b.shape[1]] += x * b
+    return out
 
 
-def _minimize_scalar(fn, fn_array, lo, hi):
-    """Grid scan at GRID_STEP then golden-section refinement to ~1e-13.
+def _resultant(a, k) -> np.ndarray:
+    """The resultant in s of A = a0 + a1 s + a2 s^2 and K = k0 + k1 s + k2 s^2 + k3 s^3,
+    whose coefficients are polynomials in t of one length: the Sylvester
+    determinant, expanded.  a2 K reduced once by A is m2 s^2 + m1 s + a2 k0."""
+    (a0, a1, a2), (k0, k1, k2, k3) = a, k
+    c = np.convolve
+    m1, m2, a2k0 = c(a2, k1) - c(k3, a0), c(a2, k2) - c(k3, a1), c(a2, k0)
+    return (
+        c(c(m1, m1), a0) - c(a2k0, c(m1, a1) + 2 * c(m2, a0)) + c(c(a2k0, a2k0), a2)
+        + c(m2, c(k0, c(a1, a1)) - c(k1, c(a1, a0)) + c(k2, c(a0, a0)))
+    )
 
-    The grid is evaluated in one numpy array pass, fn_array(grid), and the
-    refinement calls fn on floats.  fn_array(grid) must equal
-    [fn(x) for x in grid] bit for bit; then the result is bit-identical to a
-    scalar scan's.
-    """
-    grid = _scan_grid(lo, hi)
-    best_s, best_v = _grid_pick(lo, fn(lo), grid, fn_array(grid))
-    a = max(lo, best_s - 2 * GRID_STEP)
-    b = min(hi, best_s + 2 * GRID_STEP)
-    inv_phi = (math.sqrt(5) - 1) / 2
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(200):
-        if b - a < 1e-13:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fn(x2)
-    mid = (a + b) / 2
-    v_mid = fn(mid)
-    if v_mid < best_v:
-        return mid, v_mid
-    return best_s, best_v
+
+def _quadratic_roots(c, b, a) -> list:
+    """The real roots of a x^2 + b x + c by the cancellation-free formula; a may vanish."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+    return ([c / q] if q else []) + ([q / a] if a else [])
+
+
+def _real_roots(coeffs, lo, hi) -> list:
+    """The real roots in [lo, hi] of sum_k coeffs[k] x^k: in closed form up to
+    degree 2, else the eigenvalues of the companion matrix that are real to
+    1e-7, each polished by two Newton steps."""
+    c = coeffs.tolist()
+    while c and c[-1] == 0:
+        c.pop()
+    if len(c) <= 3:
+        return [x for x in _quadratic_roots(*c, *[0.0] * (3 - len(c))) if lo <= x <= hi]
+    companion = np.eye(len(c) - 1, k=-1)
+    companion[:, -1] = -np.array(c[:-1]) / c[-1]
+    z = np.linalg.eigvals(companion)
+    roots = []
+    for x in z.real[abs(z.imag) <= 1e-7].tolist():
+        for _ in range(2):
+            value = slope = 0.0
+            for a in reversed(c):
+                value, slope = value * x + a, slope * x + value
+            x -= value / slope if slope else 0.0
+        roots += [x] if lo <= x <= hi else []
+    return roots
 
 
 @dataclass(frozen=True)
@@ -352,71 +356,70 @@ class CaseConstants:
     delta_improve: float
 
 
-def _boundary_case(case_id, g_fn, t_of_s, s_lo, s_hi, eps):
-    def value(s, maximum=max):
-        t = t_of_s(s)
-        return _pointwise_restriction(g_fn(s, t), s, t, eps, maximum)
+def _boundary_case(case_id, g_fn, line, s_lo, s_hi, eps):
+    """Least pointwise restriction on the line t = t0 + t1 s, s in [s_lo, s_hi].
 
-    s_best, v_best = _minimize_scalar(
-        value, lambda s: value(s, _elementwise_max), s_lo, s_hi
-    )
-    return CaseRestriction(case_id, v_best, s_best, t_of_s(s_best))
+    There it is max(u, N / D) with u = -g, N = s^2/2 + 1 - s - (1 + eps) t^2
+    and D = 1 - t^2 > 0, all quadratics in s.  Its least value lies at an
+    end, at a stationary point of u or of N / D, or where u = N / D: at the
+    roots of u', N' D - N D' and u D - N.  Ties go to the smallest s.
+    """
+    t0, t1 = line
+    u = _coefficients(lambda s: -g_fn(s, t0 + t1 * s))
+    num = _coefficients(lambda s: s * s / 2 + 1 - s - (1 + eps) * (t0 + t1 * s) ** 2)
+    den = np.array([1 - t0 * t0, -2 * t0 * t1, -t1 * t1])
+    crossing = np.convolve(u, den)
+    crossing[:3] -= num
+    stationary = np.convolve(num[1:] * (1, 2), den) - np.convolve(num, den[1:] * (1, 2))
+    candidates = [s_lo, s_hi]
+    for c in (u[1:] * (1, 2), stationary, crossing):
+        candidates += _real_roots(c, s_lo, s_hi)
+
+    def value(s):
+        t = t0 + t1 * s
+        return _pointwise_restriction(g_fn(s, t), s, t, eps)
+
+    beta, s = min((value(s), s) for s in candidates)
+    return CaseRestriction(case_id, beta, s, t0 + t1 * s)
 
 
 def _crossing_case(case_id, g_fn, s_lo, s_hi, eps, sharpen=0.0):
-    """Least -h on the crossing {f(-h - eps) = h} over s in [s_lo, s_hi], h = g - sharpen.
+    """Least -h on the crossing {f(-h - eps) = h} inside P, h = g - sharpen.
 
-    This is the fixed point beta = min_s -h(s, t_{beta-eps}(s)) of the
-    f = h crossing, because beta + h(s, t_{beta-eps}(s)) increases in beta.
-    Substituting beta = -h turns the crossing into gap(s, t) = 0, which is
-    quadratic in s at fixed t and increasing in t at fixed s.  One scan over
-    t in [1/2, 1] takes the least -h over the in-range roots s; the crossing's
-    points at the two ends of the s range, found by bisection in t, are the
-    other candidates, since a t-scan cannot stop exactly on them.
+    P is s_lo <= s <= s_hi, max(s, 1 - s) <= t <= 1 - s/2.  The least -h is
+    the fixed point beta = min_s -h(s, t_{beta-eps}(s)), as beta + h(s,
+    t_{beta-eps}(s)) increases in beta.  beta = -h turns the crossing into
+    gap = (t^2 - 1) w + eps + s - s^2/2 = 0, w = h + 1 + eps: quadratic in s,
+    increasing in t.  The least -h on it lies at an end s = s_lo or s_hi
+    (bisection in t), on an edge t = s (s >= 1/2), t = 1 - s (s <= 1/2) or
+    t = 1 - s/2 (gap is a quartic in s there), or where also h_s gap_t -
+    h_t gap_s = 0, on gap = 0 the cubic K = 2t h_s w + (s - 1) h_t = 0: its t
+    are roots of the resultant in s of gap and K, of degree 8 in t, and its s
+    solve gap(., t) = 0.  Without a candidate in P the case is empty (inf).
     """
 
-    def h(s, t):
-        return g_fn(s, t) - sharpen
-
     def gap(s, t):
-        return (t * t - 1) * h(s, t) + (1 + eps) * t * t - s * s / 2 + s - 1
+        return (t * t - 1) * (g_fn(s, t) - sharpen) + (1 + eps) * t * t - s * s / 2 + s - 1
 
-    def feasible(s, t):
-        # s_lo <= s <= s_hi and max(s, 1 - s) <= t <= 1 - s / 2, for floats
-        # and arrays alike
-        return (s_lo <= s) & (s <= s_hi) & (s <= t) & (1 - s <= t) & (t <= 1 - s / 2)
-
-    def best_at(t):
-        # gap(., t) = a s^2 + b s + c, read off at s = 0 and s = +-1; the
-        # roots come from the cancellation-free form, and a may vanish.
-        c, up, down = gap(0.0, t), gap(1.0, t), gap(-1.0, t)
-        a, b = (up + down) / 2 - c, (up - down) / 2
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return math.inf, math.nan
-        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
-        roots = ([c / q] if q else []) + ([q / a] if a else [])
-        return min(((-h(s, t), s) for s in roots if feasible(s, t)), default=(math.inf, math.nan))
-
-    def best_values(t):
-        # best_at(t)[0] over an array of t.  A root that best_at leaves out
-        # (disc < 0, q == 0 or a == 0) comes out NaN or infinite here and
-        # fails `feasible`, so it stays at inf; the two roots are compared
-        # as best_at's (-h, s) tuples are.
-        c, up, down = gap(0.0, t), gap(1.0, t), gap(-1.0, t)
-        a, b = (up + down) / 2 - c, (up - down) / 2
-        disc = b * b - 4 * a * c
-        best, best_s = np.full_like(t, math.inf), np.full_like(t, math.nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = -(b + np.copysign(np.sqrt(disc), b)) / 2
-            for s in (c / q, q / a):
-                v = -h(s, t)
-                take = feasible(s, t) & ((v < best) | ((v == best) & (s < best_s)))
-                best, best_s = np.where(take, v, best), np.where(take, s, best_s)
-        return best
-
-    t_scan, v_scan = _minimize_scalar(lambda t: best_at(t)[0], best_values, 0.5, 1.0)
-    candidates = [(v_scan, best_at(t_scan)[1], t_scan)]
+    # Coefficient arrays of w, gap and K, [i, j] multiplying s^i t^j; h has
+    # total degree 2, so h_s = w[1:, :2] * (1, 2)^T and h_t = w[:, 1:3] * (1, 2).
+    w = np.zeros((3, 5))
+    w[:, :3] = _coefficients(lambda s: _coefficients(lambda t: g_fn(s, t)))
+    w[0, 0] += 1 + eps - sharpen
+    gap_st = np.roll(w, 2, axis=1) - w
+    gap_st[:, 0] += (eps, 1.0, -0.5)
+    k = np.zeros((4, 5))
+    k[:, 1:] = 2 * _product(w[1:, :2] * [[1.0], [2.0]], w[:, :3])
+    k[1:, :2] += w[:, 1:3] * (1.0, 2.0)
+    k[:3, :2] -= w[:, 1:3] * (1.0, 2.0)
+    # The resultant's coefficients above t^8 cancel; in floats they are rounding residue.
+    points = [(s, t) for t in _real_roots(_resultant(gap_st, k)[:9], 0.5, 1.0)
+              for s in _quadratic_roots(*_coefficients(lambda s: gap(s, t)).tolist())]
+    for t0, t1, lo, hi in ((0.0, 1.0, max(s_lo, 0.5), s_hi), (1.0, -1.0, s_lo, min(s_hi, 0.5)),
+                           (1.0, -0.5, s_lo, s_hi)):
+        if lo < hi:
+            edge = _coefficients(lambda s: gap(s, t0 + t1 * s), 4)
+            points += [(s, t0 + t1 * s) for s in _real_roots(edge, lo, hi)]
     for s in (s_lo, s_hi):
         lo, hi = max(s, 1 - s), 1 - s / 2
         if lo <= hi and gap(s, lo) <= 0 <= gap(s, hi):
@@ -424,32 +427,29 @@ def _crossing_case(case_id, g_fn, s_lo, s_hi, eps, sharpen=0.0):
             while lo < mid < hi:
                 lo, hi = (mid, hi) if gap(s, mid) <= 0 else (lo, mid)
                 mid = (lo + hi) / 2
-            candidates.append((-h(s, lo), s, lo))
-    beta, s, t = min(candidates, key=lambda c: c[0])
-    if beta == math.inf:
-        return CaseRestriction(case_id, math.inf, math.nan, math.nan)
-    return CaseRestriction(case_id, beta, s, t)
+            points.append((s, lo))
+    inside = [(sharpen - g_fn(s, t), s, t) for s, t in points
+              if s_lo <= s <= s_hi and max(s, 1 - s) <= t <= 1 - s / 2]
+    return CaseRestriction(case_id, *min(inside, default=(math.inf, math.nan, math.nan)))
 
 
 def solve_case_constants(eps: float = 1e-6) -> CaseAnalysis:
     """Solve all six case restrictions on the normalized exponent system.
 
-    Cases 1-4 sit on boundary curves of the feasible (s, t) region, where the
-    pointwise restriction has a closed form, and are scanned in s.  Cases 5
-    and 6 live on the f = g2 / f = g1 crossing curves; each is the least -g
-    on its crossing, written as gap(s, t) = 0 and scanned once in t (see
-    `_crossing_case`).  Each scan evaluates its GRID_STEP grid in one numpy
-    array pass, bit-identical to a scalar scan, and refines the best grid
-    point by scalar golden-section search.  eps must satisfy 0 <= eps < 1.
+    Cases 1-4 lie on boundary lines of the feasible (s, t) region, where the
+    pointwise restriction has a closed form (`_boundary_case`); cases 5 and 6
+    are the least -g on the f = g2 / f = g1 crossings (`_crossing_case`).
+    Each is the least value over candidate points that are real roots, in
+    floats, of explicit polynomials of degree <= 8.  Needs 0 <= eps < 1.
     """
     if not 0 <= eps < 1:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     lo = GRID_STEP
     cases = (
-        _boundary_case(1, _g1, lambda s: 1 - s, lo, 0.5, eps),
-        _boundary_case(2, _g1, lambda s: 1 - s / 2, lo, 0.5, eps),
-        _boundary_case(3, _g2, lambda s: 1 - s / 2, 0.5, 2 / 3, eps),
-        _boundary_case(4, _g2, lambda s: s, 0.5, 2 / 3, eps),
+        _boundary_case(1, _g1, (1.0, -1.0), lo, 0.5, eps),
+        _boundary_case(2, _g1, (1.0, -0.5), lo, 0.5, eps),
+        _boundary_case(3, _g2, (1.0, -0.5), 0.5, 2 / 3, eps),
+        _boundary_case(4, _g2, (0.0, 1.0), 0.5, 2 / 3, eps),
         _crossing_case(5, _g2, 0.5, 2 / 3, eps),
         _crossing_case(6, _g1, lo, 0.5, eps),
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exactmat import ExactMatrix, int_tuple, rank
+from .exactmat import ExactMatrix, int_tuple, json_rows, rank
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,10 @@ class VectorSystem:
         if isinstance(obj, str):
             obj = json.loads(obj)
         for key in ("d", "vectors"):
-            if key not in obj:
+            if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"system JSON has no {key!r} key")
-        sys = VectorSystem.from_vectors(obj["vectors"], obj.get("partition"))
+        partition = None if obj.get("partition") is None else json_rows(obj, "partition")
+        sys = VectorSystem.from_vectors(json_rows(obj, "vectors"), partition)
         if (sys.dimension,) != int_tuple((obj["d"],)):
             raise ValueError("declared dimension does not match vectors")
         return sys

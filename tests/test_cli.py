@@ -276,6 +276,38 @@ def test_normal_constants_reject_bad_eps(capsys):
         assert json.loads(err)["kind"] == "ValueError"
 
 
+def test_normal_constants_of_empty_cases_are_json_nulls(capsys):
+    # Above eps of about 0.75 the crossing cases 5 and 6 are empty: beta is
+    # inf and (s, t) undefined, which must print as null, not as the bare
+    # tokens Infinity and NaN that JSON does not have.
+    def refuse(token):
+        raise AssertionError(f"non-JSON token {token}")
+
+    code, out, _ = run_cli(capsys, "normal", "constants", "--eps", "0.8")
+    assert code == 0
+    cases = {c["id"]: c for c in json.loads(out, parse_constant=refuse)["cases"]}
+    for case_id in (5, 6):
+        assert cases[case_id] == {"id": case_id, "beta": None, "s": None, "t": None}
+    assert all(isinstance(cases[i]["beta"], float) for i in (1, 2, 3, 4))
+
+
+def test_json_inputs_of_the_wrong_shape_are_usage_errors(tmp_path, capsys):
+    cases = [
+        ("oracle", "atoms", "--system", {"d": 1, "vectors": [[1], [2]], "partition": 5}, "partition"),
+        ("oracle", "atoms", "--system", {"d": 1, "vectors": 7}, "vectors"),
+        ("oracle", "atoms", "--system", {"d": 1, "vectors": [1, 2]}, "vectors"),
+        ("oracle", "count", "--matrix", {"rows": 1, "cols": 1, "entries": 3}, "entries"),
+        ("oracle", "atoms", "--system", [1, 2], "d"),
+    ]
+    for group, kind, flag, body, field in cases:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(body))
+        code, out, err = run_cli(capsys, group, kind, flag, str(path))
+        assert code == 2 and out == "", body
+        error = json.loads(err)
+        assert error["kind"] == "ValueError" and repr(field) in error["error"], body
+
+
 def test_hadamard_verify_names_a_bad_shape(capsys):
     code, out, err = run_cli(capsys, "hadamard", "verify", "--k", "5", "--n", "4")
     assert code == 2 and out == ""

@@ -301,6 +301,138 @@ def test_crossing_restrictions_are_least_on_sampled_crossings(eps):
         assert min(sampled) - beta < 1e-4, case_id
 
 
+# ---------------------------------------------------------------------------
+# The grid scan that the candidate-point solver replaced, kept as its oracle.
+# Each case is scanned at GRID_STEP in one numpy array pass, bit-identical to
+# a scalar loop, and the best grid point is refined by golden-section search.
+
+
+def _scan_grid(lo, hi):
+    """The scan points after lo: lo + i (hi - lo) / steps for i = 1..steps."""
+    steps = max(1, int(round((hi - lo) / normal.GRID_STEP)))
+    return lo + np.arange(1, steps + 1) * (hi - lo) / steps
+
+
+def _grid_pick(best_s, best_v, grid, values):
+    """The point a scalar scan keeps: starting from (best_s, best_v), each
+    grid value strictly below the best so far replaces it.  NaN never
+    replaces, and a NaN best_v is never replaced."""
+    values = np.where(np.isnan(values), math.inf, values)
+    i = int(np.argmin(values))
+    if values[i] < best_v:
+        return float(grid[i]), float(values[i])
+    return best_s, best_v
+
+
+def _elementwise_max(a, b):
+    """max(a, b) over arrays, with Python's tie and NaN rule: b only if b > a."""
+    return np.where(b > a, b, a)
+
+
+def _minimize_scalar(fn, fn_array, lo, hi):
+    """Grid scan at GRID_STEP, fn_array(grid) == [fn(x) for x in grid], then
+    golden-section refinement to ~1e-13 around the best grid point."""
+    grid = _scan_grid(lo, hi)
+    best_s, best_v = _grid_pick(lo, fn(lo), grid, fn_array(grid))
+    a = max(lo, best_s - 2 * normal.GRID_STEP)
+    b = min(hi, best_s + 2 * normal.GRID_STEP)
+    inv_phi = (math.sqrt(5) - 1) / 2
+    x1, x2 = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(200):
+        if b - a < 1e-13:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = fn(x2)
+    mid = (a + b) / 2
+    v_mid = fn(mid)
+    return (mid, v_mid) if v_mid < best_v else (best_s, best_v)
+
+
+def _scan_boundary(g_fn, t_of_s, s_lo, s_hi, eps):
+    def value(s, maximum=max):
+        t = t_of_s(s)
+        return maximum(-g_fn(s, t), (s * s / 2 + 1 - s - (1 + eps) * t * t) / (1 - t * t))
+
+    s, v = _minimize_scalar(value, lambda s: value(s, _elementwise_max), s_lo, s_hi)
+    return v, s, t_of_s(s)
+
+
+def _scan_crossing(g_fn, s_lo, s_hi, eps, sharpen=0.0):
+    """One scan over t in [1/2, 1] of the least -h over the in-range roots s
+    of gap(., t) = 0, plus the crossing's points at the two ends of the s
+    range, found by bisection in t."""
+
+    def h(s, t):
+        return g_fn(s, t) - sharpen
+
+    def gap(s, t):
+        return (t * t - 1) * h(s, t) + (1 + eps) * t * t - s * s / 2 + s - 1
+
+    def feasible(s, t):
+        return (s_lo <= s) & (s <= s_hi) & (s <= t) & (1 - s <= t) & (t <= 1 - s / 2)
+
+    def best_at(t):
+        c, up, down = gap(0.0, t), gap(1.0, t), gap(-1.0, t)
+        a, b = (up + down) / 2 - c, (up - down) / 2
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return math.inf, math.nan
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+        roots = ([c / q] if q else []) + ([q / a] if a else [])
+        return min(((-h(s, t), s) for s in roots if feasible(s, t)), default=(math.inf, math.nan))
+
+    def best_values(t):
+        c, up, down = gap(0.0, t), gap(1.0, t), gap(-1.0, t)
+        a, b = (up + down) / 2 - c, (up - down) / 2
+        disc = b * b - 4 * a * c
+        best, best_s = np.full_like(t, math.inf), np.full_like(t, math.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(b + np.copysign(np.sqrt(disc), b)) / 2
+            for s in (c / q, q / a):
+                v = -h(s, t)
+                take = feasible(s, t) & ((v < best) | ((v == best) & (s < best_s)))
+                best, best_s = np.where(take, v, best), np.where(take, s, best_s)
+        return best
+
+    t_scan, v_scan = _minimize_scalar(lambda t: best_at(t)[0], best_values, 0.5, 1.0)
+    candidates = [(v_scan, best_at(t_scan)[1], t_scan)]
+    for s in (s_lo, s_hi):
+        lo, hi = max(s, 1 - s), 1 - s / 2
+        if lo <= hi and gap(s, lo) <= 0 <= gap(s, hi):
+            mid = (lo + hi) / 2
+            while lo < mid < hi:
+                lo, hi = (mid, hi) if gap(s, mid) <= 0 else (lo, mid)
+                mid = (lo + hi) / 2
+            candidates.append((-h(s, lo), s, lo))
+    beta, s, t = min(candidates, key=lambda c: c[0])
+    return (beta, s, t) if beta < math.inf else (math.inf, math.nan, math.nan)
+
+
+def scan_restrictions(eps, beta_small=None):
+    """{case id: (beta, s, t)} from the scans: cases 1-6 and, with
+    beta_small, 61 and 62."""
+    g1, g2, lo = normal._g1, normal._g2, normal.GRID_STEP
+    found = {
+        1: _scan_boundary(g1, lambda s: 1 - s, lo, 0.5, eps),
+        2: _scan_boundary(g1, lambda s: 1 - s / 2, lo, 0.5, eps),
+        3: _scan_boundary(g2, lambda s: 1 - s / 2, 0.5, 2 / 3, eps),
+        4: _scan_boundary(g2, lambda s: s, 0.5, 2 / 3, eps),
+        5: _scan_crossing(g2, 0.5, 2 / 3, eps),
+        6: _scan_crossing(g1, lo, 0.5, eps),
+    }
+    if beta_small is not None:
+        found[61] = _scan_crossing(g1, lo, 0.1, eps)
+        found[62] = _scan_crossing(g1, 0.1, 0.5, eps, sharpen=beta_small * beta_small / 2)
+    return found
+
+
 def _scalar_scan(lo, hi, fn):
     """The grid points and the point kept by the scalar loop the array pass
     replaced: (grid, values, (best_s, best_v))."""
@@ -319,31 +451,31 @@ def _scalar_pick(best_s, best_v, grid, values):
 
 @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-4, 5e-4])
 def test_array_grid_matches_scalar_grid(monkeypatch, eps):
-    # One improved solve at beta_small = 2^-10 runs all eight scans: cases
-    # 1-6 of its baseline, 61, and 62 sharpened by 2^-21.
+    # The oracle at beta_small = 2^-10 runs all eight scans: cases 1-6, 61,
+    # and 62 sharpened by 2^-21.
     scans = []
-    minimize = normal._minimize_scalar
+    minimize = _minimize_scalar
 
     def record(fn, fn_array, lo, hi):
         scans.append((fn, fn_array, lo, hi))
         return minimize(fn, fn_array, lo, hi)
 
-    monkeypatch.setattr(normal, "_minimize_scalar", record)
-    improved_case_constants(2**-10, eps=eps)
+    monkeypatch.setitem(globals(), "_minimize_scalar", record)
+    scan_restrictions(eps, 2**-10)
     assert len(scans) == 8
     for fn, fn_array, lo, hi in scans:
         grid, values, pick = _scalar_scan(lo, hi, fn)
-        array_grid = normal._scan_grid(lo, hi)
+        array_grid = _scan_grid(lo, hi)
         array_values = fn_array(array_grid)
         assert [x.hex() for x in array_grid.tolist()] == [x.hex() for x in grid]
         assert [v.hex() for v in array_values.tolist()] == [v.hex() for v in values]
-        picked = normal._grid_pick(lo, fn(lo), array_grid, array_values)
+        picked = _grid_pick(lo, fn(lo), array_grid, array_values)
         assert [x.hex() for x in picked] == [x.hex() for x in pick]
 
 
 def test_grid_pick_keeps_the_first_least_value():
     grid = np.array([1.0, 2.0, 3.0, 4.0])
-    pick = normal._grid_pick
+    pick = _grid_pick
     # the first of tied minima
     assert pick(0.0, 5.0, grid, np.array([3.0, 1.0, 2.0, 1.0])) == (2.0, 1.0)
     # NaN never wins, and an all-NaN grid keeps lo
@@ -362,7 +494,7 @@ VALUES = st.sampled_from(SPECIAL)
 
 def test_elementwise_max_is_pythons_max():
     pairs = [(a, b) for a in SPECIAL for b in SPECIAL]
-    got = normal._elementwise_max(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+    got = _elementwise_max(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
     assert [v.hex() for v in got.tolist()] == [max(a, b).hex() for a, b in pairs]
 
 
@@ -371,8 +503,114 @@ def test_elementwise_max_is_pythons_max():
 def test_grid_pick_matches_the_scalar_loop(v_lo, values):
     grid = [float(i) for i in range(1, len(values) + 1)]
     expected = _scalar_pick(0.0, v_lo, grid, values)
-    picked = normal._grid_pick(0.0, v_lo, np.array(grid), np.array(values))
+    picked = _grid_pick(0.0, v_lo, np.array(grid), np.array(values))
     assert [x.hex() for x in picked] == [x.hex() for x in expected]
+
+
+# (g index in case_functions, s range, t on a boundary line or None on a crossing)
+CASE_SHAPES = {
+    1: (1, (1e-4, 0.5), lambda s: 1 - s),
+    2: (1, (1e-4, 0.5), lambda s: 1 - s / 2),
+    3: (2, (0.5, 2 / 3), lambda s: 1 - s / 2),
+    4: (2, (0.5, 2 / 3), lambda s: s),
+    5: (2, (0.5, 2 / 3), None),
+    6: (1, (1e-4, 0.5), None),
+    61: (1, (1e-4, 0.1), None),
+    62: (1, (0.1, 0.5), None),
+}
+
+
+def _assert_is_a_witness(case_id, c, eps, sharpen=0.0):
+    """(s, t) lies where the case lives, and beta is the case's value there:
+    the pointwise restriction on a boundary line; -h on gap = 0, in P, on a
+    crossing."""
+    which, (s_lo, s_hi), line = CASE_SHAPES[case_id]
+    s, t = c.s, c.t
+    assert s_lo <= s <= s_hi, case_id
+    g = case_functions(s, t, 0.0)[which]
+    if line is not None:
+        assert t == line(s), case_id
+        assert c.beta == max(-g, (s * s / 2 + 1 - s - (1 + eps) * t * t) / (1 - t * t)), case_id
+    else:
+        assert max(s, 1 - s) <= t <= 1 - s / 2, case_id
+        gap, h = _crossing_gap(s, t, eps, which, sharpen)
+        assert abs(gap) <= 1e-12 and c.beta == -h, case_id
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 0.999, exclude_max=True), st.floats(0.0, 2.0**-10))
+def test_candidate_points_are_never_above_the_scan(eps, beta_small):
+    improved = improved_case_constants(beta_small, eps=eps)
+    found = {c.case_id: c for c in improved.baseline.restrictions}
+    found[61], found[62] = improved.case_small_s, improved.case_sharpened
+    for case_id, (beta, _, _) in scan_restrictions(eps, beta_small).items():
+        c = found[case_id]
+        assert c.beta <= beta + 1e-12, (case_id, c.beta, beta)
+        if c.beta < math.inf:
+            _assert_is_a_witness(case_id, c, eps, beta_small * beta_small / 2 if case_id == 62 else 0.0)
+        else:
+            assert math.isnan(c.s) and math.isnan(c.t)
+
+
+def test_case_6_at_eps_0_7386_lies_on_an_edge_below_the_scan():
+    # The least -g1 on the crossing lies on the edge t = 1 - s, which the
+    # scan's t grid misses by 6.6e-5; a bisection over 20,001 values of s
+    # gives 0.2500262.
+    eps = 0.7386
+    case6 = solve_case_constants(eps).restrictions[5]
+    _assert_is_a_witness(6, case6, eps)
+    assert case6.t == 1 - case6.s
+    assert abs(case6.beta - 0.2500245) < 1e-7
+    assert case6.beta < scan_restrictions(eps)[6][0] - 1e-5
+
+
+def test_case_1_at_eps_0_is_one_half():
+    # max(-g1, 1/2) on t = 1 - s: -g1 = 1 - 3s + 3s^2 <= 1/2 from s* = (3 - sqrt 3)/6 on.
+    case1 = solve_case_constants(0.0).restrictions[0]
+    assert abs(case1.beta - 0.5) <= 1e-15
+    assert (3 - math.sqrt(3)) / 6 - 1e-9 <= case1.s <= 0.5
+
+
+def test_boundary_case_finds_a_stationary_point_of_the_closed_form():
+    # With g = 10 the restriction is the closed form N / D alone; on t = 1/2
+    # it is (s^2/2 + 1 - s - 1/4) / (3/4) at eps = 0, least at s = 1.
+    c = normal._boundary_case(0, lambda s, t: 10.0, (0.5, 0.0), 0.5, 1.5, 0.0)
+    assert (c.s, c.t) == (1.0, 0.5) and c.beta == pytest.approx(1 / 3, abs=1e-15)
+
+
+def test_resultant_is_the_sylvester_determinant():
+    rng = np.random.default_rng(5)
+    a, k = rng.uniform(-2, 2, (3, 5)), rng.uniform(-2, 2, (4, 5))
+    res = normal._resultant(a, k)
+    for t in (-1.5, 0.0, 0.5, 0.9, 2.0):
+        ca, ck = [np.polyval(row[::-1], t) for row in a], [np.polyval(row[::-1], t) for row in k]
+        sylvester = np.zeros((5, 5))
+        for i in range(3):
+            sylvester[i, i : i + 3] = ca[::-1]
+        for i in range(2):
+            sylvester[3 + i, i : i + 4] = ck[::-1]
+        det = np.linalg.det(sylvester)
+        assert abs(np.polyval(res[::-1], t) - det) <= 1e-9 * max(1.0, abs(det))
+
+
+def test_real_roots_finds_the_roots_in_range():
+    inside = [0.1, 0.35, 0.5, 0.9]
+    coeffs = np.polynomial.polynomial.polyfromroots(inside + [-0.7, 1.4 + 0.3j, 1.4 - 0.3j]).real
+    assert np.allclose(sorted(normal._real_roots(coeffs, 0.0, 1.0)), inside, rtol=0, atol=1e-12)
+    # degree <= 2 in closed form, with vanishing leading coefficients
+    assert normal._real_roots(np.array([-0.5, 1.0, 0.0, 0.0]), 0.0, 1.0) == [0.5]
+    assert sorted(normal._real_roots(np.array([0.06, -0.5, 1.0]), 0.0, 1.0)) == pytest.approx([0.2, 0.3])
+    assert normal._real_roots(np.array([1.0, 0.0, 1.0]), -5.0, 5.0) == []
+    assert normal._real_roots(np.zeros(5), 0.0, 1.0) == []
+
+
+def test_coefficients_read_off_values():
+    def quartic(x):
+        return 3 - 2 * x + x * x - 5 * x**3 + 7 * x**4
+
+    assert normal._coefficients(quartic, 4).tolist() == [3, -2, 1, -5, 7]
+    g1 = normal._coefficients(lambda s: normal._coefficients(lambda t: normal._g1(s, t)))
+    assert g1.tolist() == [[0, -2, 1], [2, 1, 0], [-3, 0, 0]]
 
 
 def test_case_constants_reject_bad_inputs():
