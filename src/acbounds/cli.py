@@ -61,7 +61,11 @@ def _load_matrix(path: str) -> ExactMatrix:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return ExactMatrix.from_json(stripped)
-    return ExactMatrix.from_text(text)
+    try:  # a text matrix is never JSON: its header has two tokens
+        json.loads(stripped)
+    except ValueError:
+        return ExactMatrix.from_text(text)
+    raise ValueError("matrix JSON must be an object")
 
 
 def _load_system(path: str) -> VectorSystem:

@@ -1,11 +1,22 @@
 """Exact lattice distributions and the replication-trick inequalities.
 
 Distributions are finite rational measures on Z^d, stored as integer weights
-over one common denominator.  Convolution, reflection (symmetrization),
-convolution powers and ball masses run on those integers (a ball mass sums
-the weights at integer squared distances from a scaled integer centre);
-`Fraction` masses appear only at the boundary (the constructor, `atoms` and
-the mass queries).  Both variants of a replication claim
+over one common denominator; `Fraction` masses appear only at the boundary
+(the constructor, `atoms` and the mass queries).
+
+Every convolution runs on packed integer keys: a point u is the signed-digit
+integer sum(u_i B^i), with odd B = 2M + 1 and M at least every |coordinate|
+reached, so distinct points get distinct keys, adding two points is one int
+addition and reflecting one negates its key.  `convolve`, `symmetrize` and
+`self_convolve` (binary powering) pack their inputs once, fold them with the
+one kernel `_conv_int` and decode the result once.  A replication check
+packs once, with M = sum_i a_i max|coordinate of p_i|, which bounds the
+total, each half power p_i^{*a_i/2} and its symmetrization.  The point
+check reads the total at the packed query point (a point off the lattice or
+beyond M has mass 0) and each factor as a sum of squared weights, decoding
+nothing; the ball check decodes the total and the symmetrized halves, and a
+ball mass sums the weights at integer squared distances from a scaled
+integer centre.  Both variants of a replication claim
 lhs <= prod m_i^(1/a_i)  take each factor m_i from one half power
 p_i^{*a_i/2}, and the claim is settled by raising both sides to the lcm of
 the a_i and cross-multiplying integer numerators and denominators.
@@ -17,7 +28,6 @@ import json
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import add
 
 from .bounds import ReciprocalTuple, _nudge_up
 
@@ -156,51 +166,87 @@ class LatticeDistribution:
         return f"LatticeDistribution(d={self.dimension}, support={len(self.weights)})"
 
 
+def _pack(u, base: int) -> int:
+    """The signed-digit key sum(u_i base^i) of a lattice point."""
+    key = 0
+    for x in reversed(u):
+        key = key * base + x
+    return key
+
+
+def _reach(p: LatticeDistribution) -> int:
+    """The largest |coordinate| in the support of p."""
+    return max((abs(x) for u in p.weights for x in u), default=0)
+
+
+def _packed(p: LatticeDistribution, base: int) -> dict:
+    return {_pack(u, base): w for u, w in p.weights.items()}
+
+
+def _unpacked(weights: dict, denom: int, base: int, d: int) -> LatticeDistribution:
+    """The distribution with masses weights[key] / denom at the decoded keys."""
+    half = base // 2
+    offset = _pack((half,) * d, base)  # shifts every digit to 0..base-1
+    points = {}
+    for key, w in weights.items():
+        key += offset
+        u = []
+        for _ in range(d):
+            key, digit = divmod(key, base)
+            u.append(digit - half)
+        points[tuple(u)] = w
+    return LatticeDistribution._from_weights(d, points, denom)
+
+
 def _conv_int(wa: dict, wb: dict) -> dict:
-    """The integer convolution kernel: point -> weight maps, all pairs summed."""
+    """The convolution kernel on packed keys: all pairs summed."""
     out = {}
     get = out.get
     for a, ma in wa.items():
         for b, mb in wb.items():
-            key = tuple(map(add, a, b))
+            key = a + b
             out[key] = get(key, 0) + ma * mb
     return out
+
+
+def _sym_int(w: dict) -> dict:
+    """Packed weights of X - X' (the reflection negates every key)."""
+    return _conv_int(w, {-k: c for k, c in w.items()})
+
+
+def _power_int(w: dict, m: int) -> dict:
+    """Packed weights of the m-fold convolution power, by binary powering."""
+    result = None
+    while m:
+        if m & 1:
+            result = w if result is None else _conv_int(result, w)
+        m >>= 1
+        if m:
+            w = _conv_int(w, w)
+    return result
 
 
 def convolve(p: LatticeDistribution, q: LatticeDistribution) -> LatticeDistribution:
     """Exact distribution of the sum of independent draws from p and q."""
     if p.dimension != q.dimension:
         raise ValueError("dimension mismatch")
-    return LatticeDistribution._from_weights(
-        p.dimension, _conv_int(p.weights, q.weights), p.denom * q.denom
-    )
+    base = 2 * (_reach(p) + _reach(q)) + 1
+    weights = _conv_int(_packed(p, base), _packed(q, base))
+    return _unpacked(weights, p.denom * q.denom, base, p.dimension)
 
 
 def symmetrize(p: LatticeDistribution) -> LatticeDistribution:
     """Distribution of X - X' for an independent copy X'; origin-symmetric."""
-    return convolve(p, p.reflect())
+    base = 4 * _reach(p) + 1
+    return _unpacked(_sym_int(_packed(p, base)), p.denom**2, base, p.dimension)
 
 
 def self_convolve(p: LatticeDistribution, m: int) -> LatticeDistribution:
-    """m-fold convolution power via binary exponentiation on integer weights."""
+    """m-fold convolution power via binary exponentiation on packed weights."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    base, base_denom = p.weights, p.denom
-    power = m
-    result = None
-    result_denom = 1
-    while power:
-        if power & 1:
-            if result is None:
-                result, result_denom = base, base_denom
-            else:
-                result = _conv_int(result, base)
-                result_denom *= base_denom
-        power >>= 1
-        if power:
-            base = _conv_int(base, base)
-            base_denom *= base_denom
-    return LatticeDistribution._from_weights(p.dimension, result, result_denom)
+    base = 2 * m * _reach(p) + 1
+    return _unpacked(_power_int(_packed(p, base), m), p.denom**m, base, p.dimension)
 
 
 def _geometric_mean_upper(masses, tup) -> float:
@@ -223,9 +269,9 @@ def _compare_with_product(lhs: Fraction, masses, tup) -> int:
 def _replication(dists, tup, variant, point=None, delta=None, center=None):
     """Shared core of the two replication checks.
 
-    Validates the inputs and convolves all of `dists`.  Each factor comes from
-    the half power q = p^{*a_i/2}: the "symmetrized" factor
-    (p * reflect p)^{*a_i/2} and, for an origin-symmetric p, the
+    Validates the inputs, packs `dists` once and convolves them all.  Each
+    factor comes from the half power q = p^{*a_i/2}: the "symmetrized"
+    factor (p * reflect p)^{*a_i/2} and, for an origin-symmetric p, the
     "origin-symmetric" factor p^{*a_i} both equal symmetrize(q), so the
     variant only fixes the tuple divisor (4 or 2) and whether the inputs must
     be origin-symmetric.  With `point` it compares point masses: the mass at
@@ -252,16 +298,30 @@ def _replication(dists, tup, variant, point=None, delta=None, center=None):
     if divisor == 2 and not all(p.is_origin_symmetric() for p in dists):
         raise ValueError("origin-symmetric variant needs origin-symmetric inputs")
 
-    total = reduce(convolve, dists)
-    halves = [self_convolve(p, a // 2) for p, a in zip(dists, tup)]
+    # The total, each half power and its symmetrization reach no |coordinate|
+    # above sum_i a_i reach(p_i), so one base serves the whole check.
+    reach = sum(a * _reach(p) for p, a in zip(dists, tup))
+    base = 2 * reach + 1
+    packed = [_packed(p, base) for p in dists]
+    total = reduce(_conv_int, packed)
+    total_denom = math.prod(p.denom for p in dists)
+    halves = [(_power_int(w, a // 2), p.denom ** (a // 2))
+              for w, p, a in zip(packed, dists, tup)]
     if delta is None:
-        lhs = total.mass_at(point)
-        masses = [Fraction(sum(w * w for w in q.weights.values()), q.denom**2) for q in halves]
+        point = tuple(point)
+        if len(point) != d:
+            raise ValueError("point dimension mismatch")
+        # A point off the lattice or beyond the reach has mass 0.
+        on = all(x % 1 == 0 and abs(x) <= reach for x in point)
+        weight = total.get(_pack([int(x) for x in point], base), 0) if on else 0
+        lhs = Fraction(weight, total_denom)
+        masses = [Fraction(sum(w * w for w in q.values()), den**2) for q, den in halves]
         prefactor = 1
     else:
-        lhs = total.ball_mass(center, delta)
+        lhs = _unpacked(total, total_denom, base, d).ball_mass(center, delta)
         big_radius = 4 * Fraction(delta)
-        masses = [symmetrize(q).best_ball_mass(big_radius) for q in halves]
+        masses = [_unpacked(_sym_int(q), den**2, base, d).best_ball_mass(big_radius)
+                  for q, den in halves]
         prefactor = 1 << d
     rhs = prefactor * _geometric_mean_upper(masses, tup)
     return lhs, rhs, _compare_with_product(lhs / prefactor, masses, tup)

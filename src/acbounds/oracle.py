@@ -34,7 +34,8 @@ cannot alias).  Their tables are tiny (the N-normal census solves step
 systems of at most 6 columns, hundreds of times per census), and there the
 numpy per-call overhead loses: on a 2-core machine, an array fold measured
 4.2 -> 15.7 ms per round of the benchmark's `normal` workload and
-0.5 -> 1.3 ms per `census` round.  The two folds share only `_pack` and `_column_sums`.  Subspace
+0.5 -> 1.3 ms per `census` round.  The two folds share only `_column_sums` and
+`_pack`, which the convolutions of `distributions` use too.  Subspace
 sign-vector counts join the decoded halves of a reduced basis.
 """
 
@@ -47,7 +48,7 @@ from operator import add
 
 import numpy as np
 
-from .distributions import LatticeDistribution
+from .distributions import LatticeDistribution, _pack
 from .exactmat import BudgetExceededError, ExactMatrix, _bareiss
 from .system import VectorSystem
 
@@ -59,14 +60,6 @@ COMBDIM_RANK_CAP_DEFAULT = 20
 def _column_sums(vectors, d: int) -> list:
     """S_i = sum_j |v_j[i]|: every signed sum lies in the box [-S_i, S_i]."""
     return [sum(abs(v[i]) for v in vectors) for i in range(d)]
-
-
-def _pack(u, base: int) -> int:
-    """The signed-digit key sum(u_i base^i) of a lattice point."""
-    key = 0
-    for x in reversed(u):
-        key = key * base + x
-    return key
 
 
 def _packed_sign_sums(vectors, base: int) -> dict:

@@ -184,11 +184,14 @@ def run_replication_sweep(
             delta = Fraction(rng.randint(0, 4), 2)
             center = tuple(rng.randint(-2, 2) for _ in range(d))
             lhs, rhs, order = _replication(dists, tup, variant, delta=delta, center=center)
+            query = {"delta": str(delta), "center": list(center)}
         else:
             v = tuple(rng.randint(-3, 3) for _ in range(d))
             lhs, rhs, order = _replication(dists, tup, variant, point=v)
-        if order > 0:
-            violations.append({"instance": idx, "tuple": list(tup)})
+            query = {"point": list(v)}
+        if order > 0:  # the record replays through replication_*_check
+            violations.append({"instance": idx, "tuple": list(tup), "variant": variant,
+                               "dists": [p.to_json() for p in dists], **query})
         if rhs > 0:
             max_ratio = max(max_ratio, float(lhs) / rhs)
         if order == 0:

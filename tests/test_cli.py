@@ -1,5 +1,6 @@
 """CLI surface: output formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 from acbounds import cli, normal
@@ -408,3 +409,33 @@ def test_oracle_combdim_honours_the_cap(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", "combdim", "--matrix", str(path), "--cap", "2")
     assert code == 0
     assert json.loads(out)["count"] == "4"
+
+
+# SHA-256 of the stdout of `verify replication --instances 300 --seed 0`
+# (no violations), by variant and small-ball flag.
+REPLICATION_STDOUT_SHA256 = {
+    ("symmetrized", False): "ae77571c69d9a4ae40f8856c7ee6979eb1eeaa8aba8f2c54f39c41769b0392de",
+    ("symmetrized", True): "d1f9c5a651244df6c5fa1bea737aacaec85c3e0aa589919ba8a3a0d6cb1cf56e",
+    ("origin-symmetric", False): "ca5a257d7a7246ed4683b59565c9c44e69ebd1845ce6cc8f9742653e1d5b4e53",
+    ("origin-symmetric", True): "d1f9c5a651244df6c5fa1bea737aacaec85c3e0aa589919ba8a3a0d6cb1cf56e",
+}
+
+
+def test_verify_replication_stdout_is_pinned_byte_for_byte(capsys):
+    for (variant, small_ball), digest in REPLICATION_STDOUT_SHA256.items():
+        argv = ["verify", "replication", "--instances", "300", "--seed", "0",
+                "--variant", variant] + (["--small-ball"] if small_ball else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (variant, small_ball)
+
+
+def test_matrix_json_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    for body in ("[1, 2]", "[[1, 0], [0, 1]]", '"2 2"', "7"):
+        path = tmp_path / "matrix.json"
+        path.write_text(body)
+        for argv in (("oracle", "count", "--matrix", str(path)),
+                     ("normal", "census", "--n", "2", "--target", str(path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == "matrix JSON must be an object"

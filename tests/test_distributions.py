@@ -1,11 +1,16 @@
-"""Lattice distributions: exact convolution and the replication inequalities."""
+"""Lattice distributions: exact convolution and the replication inequalities.
+
+The package convolves on packed integer keys; the tuple-key kernel below is
+the oracle it is checked against.
+"""
 
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acbounds.bounds import enumerate_reciprocal_tuples
@@ -19,6 +24,36 @@ from acbounds.distributions import (
     symmetrize,
 )
 from acbounds.sweeps import random_lattice_distribution
+
+
+def tuple_conv(wa, wb):
+    """Convolution of point -> weight maps keyed by coordinate tuples."""
+    out = {}
+    get = out.get
+    for a, ma in wa.items():
+        for b, mb in wb.items():
+            key = tuple(map(add, a, b))
+            out[key] = get(key, 0) + ma * mb
+    return out
+
+
+def slow_convolve(p, q):
+    weights = tuple_conv(p.weights, q.weights)
+    return LatticeDistribution._from_weights(p.dimension, weights, p.denom * q.denom)
+
+
+def slow_symmetrize(p):
+    reflected = {tuple(-x for x in u): w for u, w in p.weights.items()}
+    weights = tuple_conv(p.weights, reflected)
+    return LatticeDistribution._from_weights(p.dimension, weights, p.denom**2)
+
+
+def slow_power(p, m):
+    power = p
+    for _ in range(m - 1):
+        power = slow_convolve(power, p)
+    return power
+
 
 RADEMACHER = LatticeDistribution.rademacher()
 TWO_COINS = LatticeDistribution(
@@ -267,3 +302,95 @@ def test_wrong_length_points_and_centers_rejected():
 def test_json_round_trip():
     p = LatticeDistribution(2, {(0, 1): Fraction(1, 3), (-1, 2): Fraction(2, 3)})
     assert LatticeDistribution.from_json(p.to_json()) == p
+
+
+ORACLE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def wide_distributions(draw, d=None, max_support=6):
+    """Up to `max_support` atoms on Z^d, d in {1, 2, 3}, coordinates in +-50."""
+    if d is None:
+        d = draw(st.integers(1, 3))
+    points = st.tuples(*[st.integers(-50, 50)] * d)
+    weights = draw(st.dictionaries(points, st.integers(1, 9), min_size=1, max_size=max_support))
+    return LatticeDistribution._from_weights(d, weights, sum(weights.values()))
+
+
+def wide_pairs():
+    return st.integers(1, 3).flatmap(lambda d: st.tuples(*[wide_distributions(d)] * 2))
+
+
+ORIGIN = LatticeDistribution.delta((0, 0))
+FAR = LatticeDistribution.delta((50, -50))
+EDGES = LatticeDistribution(2, {(50, 50): Fraction(1, 2), (-50, -50): Fraction(1, 2)})
+
+
+@ORACLE_SETTINGS
+@given(wide_pairs())
+@example((ORIGIN, ORIGIN))
+@example((FAR, ORIGIN))
+@example((FAR, EDGES))
+@example((EDGES, EDGES.reflect()))
+def test_convolve_matches_the_tuple_kernel(pair):
+    p, q = pair
+    assert convolve(p, q) == slow_convolve(p, q)
+
+
+@ORACLE_SETTINGS
+@given(wide_distributions(max_support=4), st.integers(1, 9))
+@example(ORIGIN, 9)
+@example(FAR, 9)
+@example(EDGES, 9)
+def test_self_convolve_matches_the_tuple_kernel(p, m):
+    assert self_convolve(p, m) == slow_power(p, m)
+
+
+@ORACLE_SETTINGS
+@given(wide_distributions())
+@example(ORIGIN)
+@example(FAR)
+@example(EDGES)
+def test_symmetrize_matches_the_tuple_kernel(p):
+    assert symmetrize(p) == slow_symmetrize(p)
+
+
+@ORACLE_SETTINGS
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(wide_distributions(d, 3), min_size=2,
+                                                    max_size=2)),
+       st.data())
+def test_replication_point_masses_beyond_the_reach_are_zero(dists, data):
+    # The check packs every point with base B = 2M + 1, M = sum a_i * reach_i.
+    # A query point with a coordinate beyond M packs onto the key of a point
+    # inside the box unless it is ruled out first.
+    d = dists[0].dimension
+    tup = (4, 4, 4, 4)
+    dists = dists * 2
+    total = slow_convolve(slow_convolve(dists[0], dists[1]), slow_convolve(dists[2], dists[3]))
+    reach = sum(4 * max(abs(x) for u in p.weights for x in u) for p in dists)
+    base = 2 * reach + 1
+    inside = data.draw(st.sampled_from(sorted(total.weights)))
+    # The same key as `inside`: one coordinate shifted by B, the next by -1.
+    alias = list(inside)
+    alias[0] += base
+    if d > 1:
+        alias[1] -= 1
+    for point in (inside, tuple(alias), (reach + 1,) * d, (-reach - 1,) * d):
+        lhs, _, _ = replication_atom_check(dists, tup, point)
+        assert lhs == total.mass_at(point)
+    assert replication_atom_check(dists, tup, inside)[0] > 0
+    assert replication_atom_check(dists, tup, tuple(alias))[0] == 0
+
+
+def test_replication_point_masses_off_the_lattice_are_zero():
+    origin_only = [LatticeDistribution.delta((0, 0))] * 4
+    assert replication_atom_check(origin_only, (4, 4, 4, 4), (0, 0))[0] == 1
+    # Base 1 here: every point would pack to the key 0 of the origin.
+    for point in ((1, -1), (0, 1), (Fraction(1, 2), 0), (0.5, 0), (0, float("nan"))):
+        assert replication_atom_check(origin_only, (4, 4, 4, 4), point)[0] == 0
+    two = [TWO_COINS] * 2
+    assert replication_atom_check(two, (2, 2), (Fraction(4, 2),), variant="origin-symmetric")[0] \
+        == Fraction(1, 4)
+    for point in ((Fraction(1, 2),), (1.5,), (Fraction(-7, 3),)):
+        lhs, _, holds = replication_atom_check(two, (2, 2), point, variant="origin-symmetric")
+        assert lhs == 0 and holds

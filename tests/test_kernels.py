@@ -10,7 +10,8 @@ ints, and both are checked against exact values.  The atom maximum and the
 Levy lower bound, which read the integer counts without building a
 `Fraction` table, are compared with the table path.  `LatticeDistribution`
 operations are checked against their algebraic laws, and the replication
-checks against the full-power factors they replace.
+checks against the full-power factors they replace, built with the tuple-key
+oracle of `test_distributions.py`.
 """
 
 import random
@@ -41,6 +42,7 @@ from acbounds.oracle import (
 )
 from acbounds.sweeps import random_lattice_distribution
 from acbounds.system import VectorSystem
+from test_distributions import slow_convolve, slow_power, slow_symmetrize
 
 # Fixed examples: the suite tests the same inputs on every run and writes
 # no example database.
@@ -356,12 +358,13 @@ def test_generated_weights_match_the_fraction_constructor(seed, d, symmetric):
     assert LatticeDistribution(d, p.atoms) == p
 
 
-# Reference replication factors: the (a/2)-fold power of the symmetrized
-# summand, or the a-fold power of an origin-symmetric summand.
+# Reference replication factors, built with the tuple-key oracle: the
+# (a/2)-fold power of the symmetrized summand, or the a-fold power of an
+# origin-symmetric summand.
 def full_power_factor(p, a, variant):
     if variant == "symmetrized":
-        return self_convolve(symmetrize(p), a // 2)
-    return self_convolve(p, a)
+        return slow_power(slow_symmetrize(p), a // 2)
+    return slow_power(p, a)
 
 
 def reference_check(tup, lhs, masses, prefactor=1):
@@ -386,18 +389,18 @@ def test_replication_matches_the_full_power_formulas(four, case, delta):
     variant, tup = case
     dists = list(four[: len(tup)])
     if variant == "origin-symmetric":
-        dists = [symmetrize(p) for p in dists]
+        dists = [slow_symmetrize(p) for p in dists]
     d = dists[0].dimension
     olds = [full_power_factor(p, a, variant) for p, a in zip(dists, tup)]
     for p, a, old in zip(dists, tup, olds):
-        half = self_convolve(p, a // 2)
-        assert symmetrize(half) == old
+        half = slow_power(p, a // 2)
+        assert slow_symmetrize(half) == old
         # The point factor: the mass at 0 of symmetrize(half) is sum_u half(u)^2.
         squares = sum(w * w for w in half.weights.values())
         assert Fraction(squares, half.denom**2) == old.mass_at((0,) * d)
     total = dists[0]
     for p in dists[1:]:
-        total = convolve(total, p)
+        total = slow_convolve(total, p)
     for v in ((0,) * d, (1,) * d):
         expected = reference_check(tup, total.mass_at(v), [old.mass_at((0,) * d) for old in olds])
         assert replication_atom_check(dists, tup, v, variant=variant) == expected

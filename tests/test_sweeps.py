@@ -1,12 +1,19 @@
 """Randomized sweep generators: structural guarantees and determinism."""
 
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import product
 
-from acbounds import sweeps
-from acbounds.distributions import LatticeDistribution, _replication, convolve
+from acbounds import distributions, sweeps
+from acbounds.distributions import (
+    LatticeDistribution,
+    _replication,
+    convolve,
+    replication_atom_check,
+    replication_sbp_check,
+)
 from acbounds.sweeps import (
     random_lattice_distribution,
     random_vector_system,
@@ -105,3 +112,33 @@ def test_replication_sweep_counts_exact_ties(monkeypatch):
     report = run_replication_sweep(300, seed=42, variant="origin-symmetric")
     ties = sum(_slow_origin_symmetric_order(*call) == 0 for call in calls)
     assert report.tight_count == ties == 1
+
+
+def _replay(record):
+    dists = [LatticeDistribution.from_json(obj) for obj in record["dists"]]
+    tup, variant = tuple(record["tuple"]), record["variant"]
+    if "point" in record:
+        return replication_atom_check(dists, tup, tuple(record["point"]), variant=variant)
+    return replication_sbp_check(dists, tup, Fraction(record["delta"]), tuple(record["center"]),
+                                 variant=variant)
+
+
+def test_replication_violations_replay(monkeypatch):
+    # A comparison that fails on a pattern of the left side, the factors and
+    # the tuple marks about a third of the instances as violations; a replayed
+    # record reaches the same decision only if it rebuilds all three.
+    def patterned(lhs, masses, tup):
+        key = lhs.numerator + lhs.denominator + sum(m.denominator for m in masses) + sum(tup)
+        return 1 if key % 3 == 0 else -1
+
+    monkeypatch.setattr(distributions, "_compare_with_product", patterned)
+    for variant in ("symmetrized", "origin-symmetric"):
+        for small_ball in (False, True):
+            report = run_replication_sweep(30, seed=5, variant=variant, small_ball=small_ball)
+            records = json.loads(json.dumps(report.violations))
+            assert 0 < len(records) < 30
+            for record in records:
+                assert record["variant"] == variant
+                assert _replay(record)[2] is False
+    monkeypatch.undo()
+    assert all(_replay(record)[2] for record in records)
