@@ -3,6 +3,7 @@
 Run from the root of a checkout:
 
     python3 scripts/bench_pairs.py --base HEAD~1 --out BENCH.json
+    python3 scripts/bench_pairs.py --workload replication --out BENCH.json
 
 The base revision is exported with `git archive` into a temporary directory
 (its committed files only, as a fresh checkout would have them).  For every
@@ -67,9 +68,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--out", required=True)
+    parser.add_argument("--workload", action="append", dest="workloads", metavar="NAME",
+                        help="a workload to run (repeatable; default: all of BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in benchmark["workloads"]]
+    workloads = args.workloads or known
+    unknown = sorted(set(workloads) - set(known))
+    if unknown:
+        parser.error(f"unknown workload(s) {unknown}; BENCHMARK.json has {known}")
     lower_is_better = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
@@ -83,6 +91,7 @@ def main(argv=None) -> int:
         },
         "pairs": PAIRS,
         "seconds": seconds,
+        "workloads_run": workloads,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "workloads": {},
@@ -92,7 +101,7 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=BytesIO(git("archive", "--format=tar", base_sha))) as tar:
             tar.extractall(base_dir, filter="data")
         sides = {"base": base_dir, "change": ROOT}
-        for workload in (w["name"] for w in benchmark["workloads"]):
+        for workload in workloads:
             runs = []
             for pair in range(PAIRS):
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")

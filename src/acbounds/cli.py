@@ -37,7 +37,12 @@ from .hadamard import (
 )
 from .normal import improved_case_constants, is_n_normal, partial_census, solve_case_constants
 from .oracle import atom_distribution, combinatorial_dimension, count_sign_solutions, levy_lower_bound
-from .sweeps import run_elo_sweep, run_halasz_sweep, run_replication_sweep
+from .sweeps import (
+    replay_replication_violation,
+    run_elo_sweep,
+    run_halasz_sweep,
+    run_replication_sweep,
+)
 from .system import VectorSystem
 
 EXIT_OK = 0
@@ -317,6 +322,20 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok() else EXIT_VERIFICATION
 
 
+def _cmd_replay(args) -> int:
+    report = json.loads(Path(args.report).read_text())
+    if not isinstance(report, dict) or not isinstance(report.get("violations"), list):
+        raise ValueError("report must be a JSON object with a 'violations' list")
+    records = []
+    for record in report["violations"]:
+        lhs, rhs, holds = replay_replication_violation(record)
+        records.append({"instance": record.get("instance"), "holds": holds,
+                        "lhs": _rat(lhs), "rhs": rhs})
+    reproduced = sum(not r["holds"] for r in records)
+    _emit({"records": records, "reproduced": reproduced}, args.format)
+    return EXIT_VERIFICATION if reproduced else EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acbounds",
@@ -406,6 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d-max", type=int, default=4)
     p_verify.add_argument("--n-max", type=int, default=20)
     p_verify.set_defaults(func=_cmd_verify)
+
+    p_replay = sub.add_parser("replay", help="rerun the violations of a verify replication report")
+    p_replay.add_argument("--report", type=str, required=True,
+                          help="the stdout JSON of `verify replication`")
+    p_replay.set_defaults(func=_cmd_replay)
 
     return parser
 

@@ -10,16 +10,21 @@ reached, so distinct points get distinct keys, adding two points is one int
 addition and reflecting one negates its key.  `convolve`, `symmetrize` and
 `self_convolve` (binary powering) pack their inputs once, fold them with the
 one kernel `_conv_int` and decode the result once.  A replication check
-packs once, with M = sum_i a_i max|coordinate of p_i|, which bounds the
-total, each half power p_i^{*a_i/2} and its symmetrization.  The point
-check reads the total at the packed query point (a point off the lattice or
-beyond M has mass 0) and each factor as a sum of squared weights, decoding
-nothing; the ball check decodes the total and the symmetrized halves, and a
-ball mass sums the weights at integer squared distances from a scaled
-integer centre.  Both variants of a replication claim
-lhs <= prod m_i^(1/a_i)  take each factor m_i from one half power
-p_i^{*a_i/2}, and the claim is settled by raising both sides to the lcm of
-the a_i and cross-multiplying integer numerators and denominators.
+packs once, with base 4M + 1 for M = sum_i a_i max|coordinate of p_i|, which
+bounds every partial sum, each half power p_i^{*a_i/2} and its
+symmetrization.  The point check never builds the full total: it convolves
+the two halves of the inputs and joins them at the packed query point P as
+sum_k left[k] right[P - k] (a point off the lattice or beyond M has mass 0),
+and it reads each factor as a sum of squared weights, decoding nothing.  The
+ball check decodes only the total, for its left side; a single-centre ball
+mass sums the weights at integer squared distances from a scaled integer
+centre.  Best-centre ball masses, there and in `best_ball_mass`, come from
+the one kernel `_best_ball_weight` on packed keys: with base 4M + 1 every
+difference of two keys decodes, and each distinct difference is decoded once
+per call.  Both variants of a replication claim lhs <= prod m_i^(1/a_i) take
+each factor m_i from one half power p_i^{*a_i/2}, and the claim is settled
+by raising both sides to the lcm of the a_i and cross-multiplying integer
+numerators and denominators.
 """
 
 from __future__ import annotations
@@ -146,8 +151,10 @@ class LatticeDistribution:
             raise ValueError("radius must be >= 0")
         if radius == 0:
             return self.max_atom()
-        bound = math.floor(radius**2)
-        return Fraction(max(self._ball_weight(p, 1, bound) for p in self.weights), self.denom)
+        # Differences of support points reach 2 * reach, which base 4 * reach + 1 decodes.
+        base = 4 * _reach(self) + 1
+        weight = _best_ball_weight(_packed(self, base), base, self.dimension, math.floor(radius**2))
+        return Fraction(weight, self.denom)
 
     def _ball_weight(self, scaled, scale, bound) -> int:
         """Total weight of the atoms p with |scale*p - scaled|^2 <= bound."""
@@ -196,6 +203,35 @@ def _unpacked(weights: dict, denom: int, base: int, d: int) -> LatticeDistributi
             u.append(digit - half)
         points[tuple(u)] = w
     return LatticeDistribution._from_weights(d, points, denom)
+
+
+def _best_ball_weight(weights: dict, base: int, d: int, bound: int) -> int:
+    """Largest total weight of keys k with |k - c|^2 <= bound, over support keys c.
+
+    Needs base >= 4M + 1 for M the largest |coordinate| of a key, so that every
+    difference k - c (|coordinate| <= 2M) decodes to its point.  Each distinct
+    difference is decoded once; its hit or miss is kept for the rest of the call.
+    """
+    half = base // 2
+    offset = _pack((half,) * d, base)  # shifts every digit to 0..base-1
+    hits = {}
+    best = 0
+    for c in weights:
+        total = 0
+        for k, w in weights.items():
+            diff = k - c
+            hit = hits.get(diff)
+            if hit is None:
+                key, norm = diff + offset, 0
+                for _ in range(d):
+                    key, digit = divmod(key, base)
+                    norm += (digit - half) ** 2
+                hit = hits[diff] = norm <= bound
+            if hit:
+                total += w
+        if total > best:
+            best = total
+    return best
 
 
 def _conv_int(wa: dict, wb: dict) -> dict:
@@ -269,16 +305,18 @@ def _compare_with_product(lhs: Fraction, masses, tup) -> int:
 def _replication(dists, tup, variant, point=None, delta=None, center=None):
     """Shared core of the two replication checks.
 
-    Validates the inputs, packs `dists` once and convolves them all.  Each
-    factor comes from the half power q = p^{*a_i/2}: the "symmetrized"
-    factor (p * reflect p)^{*a_i/2} and, for an origin-symmetric p, the
+    Validates the inputs and packs `dists` once.  Each factor comes from the
+    half power q = p^{*a_i/2}: the "symmetrized" factor
+    (p * reflect p)^{*a_i/2} and, for an origin-symmetric p, the
     "origin-symmetric" factor p^{*a_i} both equal symmetrize(q), so the
     variant only fixes the tuple divisor (4 or 2) and whether the inputs must
-    be origin-symmetric.  With `point` it compares point masses: the mass at
-    `point` of the total against the masses at 0 of the factors, each read
-    off q as sum_u q(u)^2.  With `delta` and `center` it compares ball
-    masses.  Returns (lhs, rhs, order): order is the exact sign of lhs
-    against the right side, rhs its upward-rounded float.
+    be origin-symmetric.
+    With `point` it compares point masses: the mass at `point` of the total,
+    joined from two half totals, against the masses at 0 of the factors,
+    each read off q as sum_u q(u)^2.  With `delta` and `center` it compares
+    the ball mass of the total against the best-centre ball masses of the
+    packed factors.  Returns (lhs, rhs, order): order is the exact sign of
+    lhs against the right side, rhs its upward-rounded float.
     """
     if variant == "symmetrized":
         divisor = 4
@@ -298,30 +336,38 @@ def _replication(dists, tup, variant, point=None, delta=None, center=None):
     if divisor == 2 and not all(p.is_origin_symmetric() for p in dists):
         raise ValueError("origin-symmetric variant needs origin-symmetric inputs")
 
-    # The total, each half power and its symmetrization reach no |coordinate|
-    # above sum_i a_i reach(p_i), so one base serves the whole check.
+    # Every partial sum, each half power and its symmetrization reach no
+    # |coordinate| above M = sum_i a_i reach(p_i).  The ball factors decode
+    # differences of keys, which reach 2M, so the check packs with base 4M + 1.
     reach = sum(a * _reach(p) for p, a in zip(dists, tup))
-    base = 2 * reach + 1
+    base = 4 * reach + 1
     packed = [_packed(p, base) for p in dists]
-    total = reduce(_conv_int, packed)
+    halves = [_power_int(w, a // 2) for w, a in zip(packed, tup)]
     total_denom = math.prod(p.denom for p in dists)
-    halves = [(_power_int(w, a // 2), p.denom ** (a // 2))
-              for w, p, a in zip(packed, dists, tup)]
     if delta is None:
         point = tuple(point)
         if len(point) != d:
             raise ValueError("point dimension mismatch")
-        # A point off the lattice or beyond the reach has mass 0.
-        on = all(x % 1 == 0 and abs(x) <= reach for x in point)
-        weight = total.get(_pack([int(x) for x in point], base), 0) if on else 0
+        # A point off the lattice or beyond M has mass 0.  Otherwise two half
+        # totals are joined at it: for u in the left support a right key v
+        # matches when (P - u) - v = 0, a point with |coordinate| <= M + M =
+        # 2M, so already base 2M + 1 packs every lookup injectively.
+        weight = 0
+        if all(x % 1 == 0 and abs(x) <= reach for x in point):
+            target = _pack([int(x) for x in point], base)
+            mid = len(packed) // 2
+            right = reduce(_conv_int, packed[mid:])
+            weight = sum(w * right.get(target - k, 0)
+                         for k, w in reduce(_conv_int, packed[:mid]).items())
         lhs = Fraction(weight, total_denom)
-        masses = [Fraction(sum(w * w for w in q.values()), den**2) for q, den in halves]
+        masses = [Fraction(sum(w * w for w in q.values()), p.denom**a)
+                  for q, p, a in zip(halves, dists, tup)]
         prefactor = 1
     else:
-        lhs = _unpacked(total, total_denom, base, d).ball_mass(center, delta)
-        big_radius = 4 * Fraction(delta)
-        masses = [_unpacked(_sym_int(q), den**2, base, d).best_ball_mass(big_radius)
-                  for q, den in halves]
+        lhs = _unpacked(reduce(_conv_int, packed), total_denom, base, d).ball_mass(center, delta)
+        bound = math.floor((4 * Fraction(delta)) ** 2)
+        masses = [Fraction(_best_ball_weight(_sym_int(q), base, d, bound), p.denom**a)
+                  for q, p, a in zip(halves, dists, tup)]
         prefactor = 1 << d
     rhs = prefactor * _geometric_mean_upper(masses, tup)
     return lhs, rhs, _compare_with_product(lhs / prefactor, masses, tup)

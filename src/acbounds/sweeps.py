@@ -17,7 +17,12 @@ from .bounds import (
     erdos_lo_bound,
     halasz_atom_bound,
 )
-from .distributions import LatticeDistribution, _replication
+from .distributions import (
+    LatticeDistribution,
+    _replication,
+    replication_atom_check,
+    replication_sbp_check,
+)
 from .hadamard import deal_leftover_columns, greedy_rank_partition
 from .oracle import atom_max
 from .system import VectorSystem
@@ -197,6 +202,22 @@ def run_replication_sweep(
         if order == 0:
             tight += 1
     return SweepReport(instances, seed, violations, max_ratio, tight)
+
+
+def replay_replication_violation(record: dict):
+    """Rerun one violation record of `run_replication_sweep`: its inputs are
+    rebuilt from the record alone.  Returns the check's (lhs, rhs, holds)."""
+    if not isinstance(record, dict) or not isinstance(record.get("dists"), list):
+        raise ValueError("a violation record carries no 'dists' list")
+    try:
+        dists = [LatticeDistribution.from_json(obj) for obj in record["dists"]]
+        tup, variant = tuple(record["tuple"]), record["variant"]
+        if "point" in record:
+            return replication_atom_check(dists, tup, tuple(record["point"]), variant=variant)
+        return replication_sbp_check(dists, tup, Fraction(record["delta"]),
+                                     tuple(record["center"]), variant=variant)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed violation record: {exc!r}") from exc
 
 
 def run_elo_sweep(instances: int = 500, seed: int = 0, n_max: int = 20) -> SweepReport:

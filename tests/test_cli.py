@@ -3,7 +3,7 @@
 import hashlib
 import json
 
-from acbounds import cli, normal
+from acbounds import __version__, cli, distributions, normal
 from acbounds.cli import main
 
 
@@ -439,3 +439,97 @@ def test_matrix_json_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == ""
             assert json.loads(err)["error"] == "matrix JSON must be an object"
+
+
+# Three `random_vector_system(random.Random(seed), d_max=3, n_max=12)` draws
+# (seeds 1, 9 and 17) and the `levy_lower_bound` that `oracle levy` prints
+# for them, by centre policy and radius.
+LEVY_SYSTEMS = {
+    1: {"d": 1, "vectors": [[-2], [-2], [1], [1], [1], [1], [-1], [-2], [1], [-2], [1]],
+        "partition": [[0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7]]},
+    9: {"d": 2, "vectors": [[-1, -1], [-2, 0], [2, 1], [2, -2], [0, 2], [2, -2], [1, -1],
+                            [1, 1], [-1, -1], [-1, -2], [-2, -1]],
+        "partition": [[0, 6], [1, 7], [2, 8], [3, 9], [4, 10], [5]]},
+    17: {"d": 3, "vectors": [[-1, 2, 0], [-2, -2, -1], [1, 1, 0], [2, 0, 1], [-1, 2, -2],
+                             [-1, -1, -1], [2, 2, -1], [0, 2, -2], [-2, 0, 1]],
+         "partition": [[0, 1, 2, 6, 8], [3, 4, 5, 7]]},
+}
+LEVY_PINS = {
+    (1, "atoms", "1"): "323/2048",
+    (1, "atoms", "1.5"): "323/2048",
+    (1, "atoms+midpoints", "1"): "323/1024",
+    (1, "atoms+midpoints", "1.5"): "323/1024",
+    (9, "atoms", "1"): "53/2048",
+    (9, "atoms", "1.5"): "53/2048",
+    (9, "atoms+midpoints", "1"): "53/1024",
+    (9, "atoms+midpoints", "1.5"): "191/2048",
+    (17, "atoms", "1"): "7/512",
+    (17, "atoms", "1.5"): "7/512",
+    (17, "atoms+midpoints", "1"): "5/256",
+    (17, "atoms+midpoints", "1.5"): "15/512",
+}
+
+
+def test_oracle_levy_stdout_is_pinned(tmp_path, capsys):
+    for (seed, centers, radius), value in LEVY_PINS.items():
+        path = tmp_path / f"system{seed}.json"
+        path.write_text(json.dumps(LEVY_SYSTEMS[seed]))
+        code, out, _ = run_cli(capsys, "oracle", "levy", "--system", str(path),
+                               "--centers", centers, "--radius", radius)
+        assert code == 0
+        assert out == json.dumps({"levy_lower_bound": value, "radius": float(radius),
+                                  "tool": "acbounds", "version": __version__}) + "\n"
+
+
+def test_replay_reruns_the_violations_of_a_replication_report(tmp_path, monkeypatch, capsys):
+    # The comparison of tests/test_sweeps.py: it fails on a pattern of the
+    # left side, the factors and the tuple, so a replayed record reaches the
+    # same decision only if it rebuilds all three from the report.
+    def patterned(lhs, masses, tup):
+        key = lhs.numerator + lhs.denominator + sum(m.denominator for m in masses) + sum(tup)
+        return 1 if key % 3 == 0 else -1
+
+    monkeypatch.setattr(distributions, "_compare_with_product", patterned)
+    reports = []
+    for variant, small_ball in (("symmetrized", False), ("origin-symmetric", True)):
+        argv = ["verify", "replication", "--instances", "30", "--seed", "5",
+                "--variant", variant] + (["--small-ball"] if small_ball else [])
+        code, out, _ = run_cli(capsys, *argv)
+        violations = json.loads(out)["violations"]
+        assert code == 1 and 0 < len(violations) < 30
+        path = tmp_path / f"{variant}-{small_ball}.json"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "replay", "--report", str(path))
+        body = json.loads(out)
+        assert code == 1
+        assert body["reproduced"] == len(violations)
+        assert [r["instance"] for r in body["records"]] == [v["instance"] for v in violations]
+        assert all(r["holds"] is False for r in body["records"])
+        reports.append((path, len(violations)))
+    monkeypatch.undo()
+    for path, count in reports:
+        code, out, _ = run_cli(capsys, "replay", "--report", str(path))
+        body = json.loads(out)
+        assert code == 0 and body["reproduced"] == 0
+        assert len(body["records"]) == count and all(r["holds"] for r in body["records"])
+
+
+def test_replay_of_a_malformed_report_is_a_usage_error(tmp_path, capsys):
+    record = {"instance": 0, "tuple": [2, 2], "variant": "origin-symmetric", "point": [0],
+              "dists": [{"d": 1, "atoms": [{"point": [0], "mass": "1/1"}]}] * 2}
+    for body in ("not json", "[]", '{"violations": 3}', {"violations": [{"instance": 1}]},
+                 {"violations": [{"instance": 1, "system": {"d": 1, "vectors": [[1]]}}]},
+                 {"violations": [7]},
+                 {"violations": [{**record, "dists": [7]}]},
+                 {"violations": [{**record, "tuple": None}]},
+                 {"violations": [{k: v for k, v in record.items() if k != "variant"}]}):
+        path = tmp_path / "report.json"
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
+        code, out, err = run_cli(capsys, "replay", "--report", str(path))
+        assert code == 2 and out == "", body
+        assert "error" in json.loads(err)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"violations": [record]}))
+    code, out, _ = run_cli(capsys, "replay", "--report", str(path))
+    assert code == 0
+    assert json.loads(out)["records"] == [{"instance": 0, "holds": True, "lhs": "1/1", "rhs": 1.0}]

@@ -17,6 +17,7 @@ from acbounds.bounds import enumerate_reciprocal_tuples
 from acbounds.distributions import (
     LatticeDistribution,
     _compare_with_product,
+    _geometric_mean_upper,
     convolve,
     replication_atom_check,
     replication_sbp_check,
@@ -287,6 +288,33 @@ def test_best_ball_mass_is_the_largest_atom_centred_ball(p, halves, data):
         p.best_ball_mass(-Fraction(halves + 1, 2))
 
 
+# Pairs +-r far apart next to radius 1, and a three-atom plane example.  A
+# base of 2 * reach + 1 decodes the difference 10 of {-5, 5} as -1, so the
+# ball of radius 1 at -5 would take in 5 as well.
+FAR_SUPPORTS = [
+    {(-1,): 1, (1,): 1},
+    {(-5,): 1, (5,): 1},
+    {(-50,): 1, (50,): 1},
+    {(-5, 5): 1, (5, -5): 1},
+    {(5, 5): 1, (-5, -5): 1},
+    {(0, 7): 1, (0, -7): 1},
+    {(0, 0): 2, (3, 4): 1, (-3, -4): 1},
+]
+
+
+@pytest.mark.parametrize("weights", FAR_SUPPORTS)
+def test_best_ball_mass_of_far_pairs_and_radii_beyond_the_diameter(weights):
+    d = len(next(iter(weights)))
+    p = LatticeDistribution._from_weights(d, weights, sum(weights.values()))
+    assert p.best_ball_mass(1) == p.max_atom()
+    diameter = max(math.dist(u, v) for u in weights for v in weights)
+    for radius in (1, Fraction(3, 2), math.floor(diameter), math.ceil(diameter),
+                   2 * math.ceil(diameter), 10**6):
+        expected = max(fraction_ball_mass(p, x, Fraction(radius)) for x in p.weights)
+        assert p.best_ball_mass(radius) == expected
+    assert p.best_ball_mass(math.ceil(diameter)) == 1
+
+
 def test_wrong_length_points_and_centers_rejected():
     p = LatticeDistribution(2, {(0, 0): Fraction(1, 2), (0, 4): Fraction(1, 2)})
     for query in (lambda: p.mass_at((0,)), lambda: p.ball_mass((0, 0, 0), 1)):
@@ -394,3 +422,76 @@ def test_replication_point_masses_off_the_lattice_are_zero():
     for point in ((Fraction(1, 2),), (1.5,), (Fraction(-7, 3),)):
         lhs, _, holds = replication_atom_check(two, (2, 2), point, variant="origin-symmetric")
         assert lhs == 0 and holds
+
+
+@ORACLE_SETTINGS
+@given(wide_distributions(), st.sampled_from((0, 1, Fraction(3, 2), 10, 60, 200)))
+def test_best_ball_mass_matches_the_fraction_reference_on_wide_supports(p, radius):
+    expected = max(fraction_ball_mass(p, x, Fraction(radius)) for x in p.weights)
+    assert p.best_ball_mass(radius) == expected
+
+
+JOIN_CASES = [
+    ("origin-symmetric", (2, 2)),
+    ("origin-symmetric", (2, 4, 4)),
+    ("symmetrized", (4, 4, 4, 4)),
+    ("symmetrized", (4, 4, 4, 8, 8)),
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(wide_distributions(d, 2), min_size=5,
+                                                    max_size=5)),
+       st.sampled_from(JOIN_CASES))
+@example([LatticeDistribution.delta((0,))] * 5, JOIN_CASES[0])
+@example([LatticeDistribution.delta((0, 0, 0))] * 5, JOIN_CASES[1])
+@example([LatticeDistribution.delta((0, 0))] * 5, JOIN_CASES[3])
+def test_replication_point_join_matches_the_full_total(dists, case):
+    # The point check joins two half totals; the reference is the full total.
+    variant, tup = case
+    dists = dists[: len(tup)]
+    if variant == "origin-symmetric":
+        dists = [slow_symmetrize(p) for p in dists]
+    d = dists[0].dimension
+    total = dists[0]
+    for p in dists[1:]:
+        total = slow_convolve(total, p)
+    reach = sum(a * max(abs(x) for u in p.weights for x in u) for p, a in zip(dists, tup))
+    base = 4 * reach + 1
+    points = set(total.weights)
+    for u in sorted(total.weights)[:4]:
+        points.add((u[0] + 1,) + u[1:])  # next to the support, or on it
+        points.add((u[0] + base,) + tuple(x - 1 for x in u[1:2]) + u[2:])  # same key as u
+    points.update({(reach,) * d, (reach + 1,) * d, (-reach - 1,) * d})
+    for point in points:
+        lhs, _, _ = replication_atom_check(dists, tup, point, variant=variant)
+        assert lhs == total.mass_at(point), point
+
+
+@ORACLE_SETTINGS
+@given(st.integers(1, 2).flatmap(
+           lambda d: st.dictionaries(st.tuples(*[st.integers(-6, 6)] * d), st.integers(1, 5),
+                                     min_size=1, max_size=4)),
+       st.sampled_from([("symmetrized", (4, 4, 4, 4)), ("origin-symmetric", (2, 2))]),
+       st.integers(0, 8))
+# Two inputs found by search, whose factors change when the check packs with
+# base 2M + 1.
+@example({(5,): 4, (2,): 2, (-5,): 5}, ("symmetrized", (4, 4, 4, 4)), 8)
+@example({(-2, 4): 5, (4, -2): 1, (0, -3): 1}, ("symmetrized", (4, 4, 4, 4)), 8)
+def test_replication_ball_factor_of_a_dominant_input(weights, case, halves):
+    # Every other input sits at the origin, so M = a_0 reach(p), and the
+    # factor of p has key differences of up to 2M, all of which must decode.
+    variant, tup = case
+    d = len(next(iter(weights)))
+    p = LatticeDistribution._from_weights(d, weights, sum(weights.values()))
+    if variant == "origin-symmetric":
+        p = slow_symmetrize(p)
+    dists = [p] + [LatticeDistribution.delta((0,) * d)] * (len(tup) - 1)
+    delta = Fraction(halves, 2)
+    factors = [slow_symmetrize(slow_power(q, a // 2)) for q, a in zip(dists, tup)]
+    masses = [max(fraction_ball_mass(f, x, 4 * delta) for x in f.weights) for f in factors]
+    center = (Fraction(1, 2),) * d
+    lhs, rhs, holds = replication_sbp_check(dists, tup, delta, center, variant=variant)
+    assert lhs == fraction_ball_mass(p, center, delta)
+    assert rhs == (1 << d) * _geometric_mean_upper(masses, tup)
+    assert holds == (_compare_with_product(lhs / (1 << d), masses, tup) <= 0)

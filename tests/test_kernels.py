@@ -42,7 +42,7 @@ from acbounds.oracle import (
 )
 from acbounds.sweeps import random_lattice_distribution
 from acbounds.system import VectorSystem
-from test_distributions import slow_convolve, slow_power, slow_symmetrize
+from test_distributions import fraction_ball_mass, slow_convolve, slow_power, slow_symmetrize
 
 # Fixed examples: the suite tests the same inputs on every run and writes
 # no example database.
@@ -408,7 +408,7 @@ def test_replication_matches_the_full_power_formulas(four, case, delta):
     expected = reference_check(
         tup,
         total.ball_mass(center, delta),
-        [old.best_ball_mass(4 * delta) for old in olds],
+        [max(fraction_ball_mass(old, x, 4 * delta) for x in old.weights) for old in olds],
         prefactor=1 << d,
     )
     assert replication_sbp_check(dists, tup, delta, center, variant=variant) == expected
